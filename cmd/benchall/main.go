@@ -25,19 +25,20 @@ import (
 
 // report is the -json output schema.
 type report struct {
-	Scale      int                              `json:"scale"`
-	GoMaxProcs int                              `json:"gomaxprocs"`
-	Exhibits   []exhibitTiming                  `json:"exhibits"`
-	Archive    experiments.ArchiveBenchResult   `json:"archive"`
-	Engine     experiments.EngineBenchResult    `json:"engine"`
-	Entropy    experiments.EntropyBenchResult   `json:"entropy"`
-	Predict    experiments.PredictBenchResult   `json:"predict"`
-	Serve      experiments.ServeBenchResult     `json:"serve"`
-	Ingest     experiments.IngestBenchResult    `json:"ingest"`
-	Temporal   experiments.TemporalBenchResult  `json:"temporal"`
-	Integrity  experiments.IntegrityBenchResult `json:"integrity"`
-	Remote     experiments.RemoteBenchResult    `json:"remote"`
-	TotalSecs  float64                          `json:"total_seconds"`
+	Scale      int                               `json:"scale"`
+	GoMaxProcs int                               `json:"gomaxprocs"`
+	Exhibits   []exhibitTiming                   `json:"exhibits"`
+	Archive    experiments.ArchiveBenchResult    `json:"archive"`
+	Engine     experiments.EngineBenchResult     `json:"engine"`
+	Entropy    experiments.EntropyBenchResult    `json:"entropy"`
+	SmallFrame experiments.SmallFrameBenchResult `json:"small_frame"`
+	Predict    experiments.PredictBenchResult    `json:"predict"`
+	Serve      experiments.ServeBenchResult      `json:"serve"`
+	Ingest     experiments.IngestBenchResult     `json:"ingest"`
+	Temporal   experiments.TemporalBenchResult   `json:"temporal"`
+	Integrity  experiments.IntegrityBenchResult  `json:"integrity"`
+	Remote     experiments.RemoteBenchResult     `json:"remote"`
+	TotalSecs  float64                           `json:"total_seconds"`
 }
 
 type exhibitTiming struct {
@@ -92,6 +93,11 @@ func main() {
 			log.Fatalf("entropy bench: %v", err)
 		}
 		rep.Entropy = ent
+		sf, err := experiments.SmallFrameBench(env)
+		if err != nil {
+			log.Fatalf("small-frame bench: %v", err)
+		}
+		rep.SmallFrame = sf
 		pred, err := experiments.PredictBench(env)
 		if err != nil {
 			log.Fatalf("predict bench: %v", err)
@@ -138,6 +144,13 @@ func main() {
 			eng.DecompressSerialMBps, eng.DecompressParallelMBps, eng.DecompressSpeedup)
 		fmt.Printf("[entropy: %d codes (%d distinct), huffman encode %.1f MB/s, decode %.1f MB/s]\n",
 			ent.Symbols, ent.DistinctSymbols, ent.EncodeMBps, ent.DecodeMBps)
+		fmt.Printf("[small frames: %d frames of %.0f symbols (%.0f B), codebook %d B + body %d B, huffman encode %.1f MB/s, decode %.1f MB/s, frame decode %.1f MB/s]\n",
+			sf.Frames, sf.SymbolsPerFrame, sf.FrameBytes, sf.HeaderBytes, sf.BodyBytes,
+			sf.EncodeMBps, sf.DecodeMBps, sf.FrameDecodeMBps)
+		for _, p := range sf.Sweep {
+			fmt.Printf("[sweep %-8s: tac %d B (%d without DEFLATE), archive %d B (%d without DEFLATE) of %d B]\n",
+				p.Bound, p.TacBytes, p.TacBytesNoLossless, p.ArchiveBytes, p.ArchiveBytesNoLossless, p.OriginalBytes)
+		}
 		fmt.Printf("[predict: %d cells, lorenzo encode %.1f MB/s, decode %.1f MB/s]\n",
 			pred.Cells, pred.EncodeMBps, pred.DecodeMBps)
 		fmt.Printf("[serve: %d reqs x%d, %.0f req/s, %.1f MB/s served, cache hit ratio %.2f (%d decodes)]\n",

@@ -304,7 +304,7 @@ func (mw *MemberWriter) AddLevel(l *amr.Level) error {
 	}
 	liIdx := len(mw.member.Levels)
 	eb := mw.cfg.LevelEB(liIdx, l)
-	opts := sz.Options{ErrorBound: eb, QuantBits: mw.cfg.QuantBits}
+	opts := sz.Options{ErrorBound: eb, QuantBits: mw.cfg.QuantBits, DisableLossless: mw.cfg.DisableLossless}
 
 	batchBlocks := mw.w.BatchBlocks
 	if batchBlocks <= 0 {

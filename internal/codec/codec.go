@@ -15,6 +15,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/amr"
 	"repro/internal/grid"
@@ -69,6 +70,9 @@ type Config struct {
 	Mode sz.Mode
 	// QuantBits forwards to sz.Options (0 = default 16).
 	QuantBits int
+	// DisableLossless forwards to sz.Options: payloads skip the DEFLATE
+	// stage (ablations, and the check that the stage never grows bytes).
+	DisableLossless bool
 	// LevelScales optionally multiplies the error bound per level, fine to
 	// coarse — the adaptive error bound of Sec. 4.5 (e.g. {3,1} for the
 	// 3:1 power-spectrum tuning). nil or missing entries mean 1.
@@ -172,6 +176,21 @@ type Codec interface {
 
 const containerMagic = 0x54414343 // "TACC"
 
+// maskWriters and maskReaders pool the mask DEFLATE coders: a fresh
+// BestCompression writer allocates and initializes its whole window and
+// hash state, which costs more than compressing a typical mask. A Reset
+// coder produces the same bytes as a fresh one.
+var (
+	maskWriters = sync.Pool{New: func() any {
+		fw, err := flate.NewWriter(io.Discard, flate.BestCompression)
+		if err != nil {
+			panic(err) // only fails for invalid levels
+		}
+		return fw
+	}}
+	maskReaders = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+)
+
 // EncodeMask serializes an occupancy mask as bit-packed bytes passed
 // through DEFLATE — the representation both the in-memory container and
 // the on-disk archive footer store (one bit per unit block before the
@@ -179,10 +198,12 @@ const containerMagic = 0x54414343 // "TACC"
 func EncodeMask(m *grid.Mask) ([]byte, error) {
 	packed := m.AppendPacked(make([]byte, 0, m.PackedLen()))
 	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.BestCompression)
-	if err != nil {
-		return nil, err
-	}
+	fw := maskWriters.Get().(*flate.Writer)
+	defer func() {
+		fw.Reset(io.Discard) // do not pin buf while pooled
+		maskWriters.Put(fw)
+	}()
+	fw.Reset(&buf)
 	if _, err := fw.Write(packed); err != nil {
 		return nil, err
 	}
@@ -197,9 +218,15 @@ func EncodeMask(m *grid.Mask) ([]byte, error) {
 // cannot balloon past it.
 func DecodeMask(d grid.Dims, comp []byte) (*grid.Mask, error) {
 	m := grid.NewMask(d)
-	fr := flate.NewReader(bytes.NewReader(comp))
+	fr := maskReaders.Get().(io.ReadCloser)
+	defer func() {
+		fr.(flate.Resetter).Reset(bytes.NewReader(nil), nil) // do not pin comp while pooled
+		maskReaders.Put(fr)
+	}()
+	if err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+		return nil, fmt.Errorf("codec: inflating mask: %w", err)
+	}
 	packed, err := io.ReadAll(io.LimitReader(fr, int64(m.PackedLen())+1))
-	fr.Close()
 	if err != nil {
 		return nil, fmt.Errorf("codec: inflating mask: %w", err)
 	}

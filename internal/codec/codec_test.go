@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"bytes"
+	"compress/flate"
 	"math/rand"
 	"testing"
 
@@ -150,6 +152,47 @@ func TestStrategyString(t *testing.T) {
 	for s, want := range names {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", s, s.String(), want)
+		}
+	}
+}
+
+// TestPooledMaskCodersMatchFresh checks that masks encoded through the
+// pooled, Reset DEFLATE writers are byte-identical to a fresh
+// BestCompression writer's output, whatever the pool served before, and
+// that the pooled readers round-trip them.
+func TestPooledMaskCodersMatchFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 12; trial++ {
+		d := grid.Dims{X: 1 + rng.Intn(40), Y: 1 + rng.Intn(40), Z: 1 + rng.Intn(40)}
+		m := grid.NewMask(d)
+		density := rng.Float64()
+		for i := 0; i < m.Len(); i++ {
+			if rng.Float64() < density {
+				m.SetIndex(i, true)
+			}
+		}
+		var ref bytes.Buffer
+		fw, err := flate.NewWriter(&ref, flate.BestCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.Write(m.AppendPacked(nil))
+		fw.Close()
+		got, err := EncodeMask(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref.Bytes()) {
+			t.Fatalf("trial %d: pooled mask encoding differs from a fresh writer's", trial)
+		}
+		back, err := DecodeMask(d, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < m.Len(); i++ {
+			if back.AtIndex(i) != m.AtIndex(i) {
+				t.Fatalf("trial %d: mask bit %d lost in the round trip", trial, i)
+			}
 		}
 	}
 }

@@ -266,7 +266,7 @@ func CompressLevel(l *amr.Level, st codec.Strategy, eb float64, cfg codec.Config
 func compressLevel(enc *sz.Encoder[amr.Value], l *amr.Level, st codec.Strategy, eb float64, cfg codec.Config) ([]byte, error) {
 	var out []byte
 	out = append(out, byte(st))
-	opts := sz.Options{ErrorBound: eb, QuantBits: cfg.QuantBits}
+	opts := sz.Options{ErrorBound: eb, QuantBits: cfg.QuantBits, DisableLossless: cfg.DisableLossless}
 	switch st {
 	case codec.ZF, codec.GSP:
 		g := l.Grid.Clone()

@@ -58,3 +58,53 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 		}
 	}
 }
+
+// smallFrame is one archive-frame-sized stream: 64 unit blocks of 4³
+// cells, the DefaultBatchBlocks frame of a TACA archive, where codebook
+// parse and table setup weigh as much as the symbol loop.
+func smallFrame() []uint32 { return quantStream(64 * 64) }
+
+func BenchmarkHuffmanEncodeSmallFrame(b *testing.B) {
+	syms := smallFrame()
+	var e Encoder
+	dst := e.AppendEncode(nil, syms)
+	b.SetBytes(int64(4 * len(syms)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = e.AppendEncode(dst[:0], syms)
+	}
+}
+
+func BenchmarkHuffmanDecodeSmallFrame(b *testing.B) {
+	syms := smallFrame()
+	blob := Encode(syms)
+	var d Decoder
+	out, err := d.AppendDecode(nil, blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(4 * len(syms)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out, err = d.AppendDecode(out[:0], blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkHuffmanDecodeV1SmallFrame(b *testing.B) {
+	syms := smallFrame()
+	blob := encodeV1(syms)
+	var d Decoder
+	out, err := d.AppendDecodeV1(nil, blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(4 * len(syms)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out, err = d.AppendDecodeV1(out[:0], blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

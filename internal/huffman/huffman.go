@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/bitio"
@@ -237,30 +238,44 @@ type symCode struct {
 	code uint64
 }
 
-// canonicalize assigns canonical codes in place: symbols sorted by
-// (length, symbol) receive consecutive codes. The (length, symbol) keys
-// are unique, so any comparison sort yields the same order —
-// slices.SortFunc avoids the reflect-based swapping of sort.Slice.
-func canonicalize(codes []symCode) []symCode {
-	slices.SortFunc(codes, func(a, b symCode) int {
-		if a.len != b.len {
-			return int(a.len) - int(b.len)
-		}
-		return cmp.Compare(a.sym, b.sym)
-	})
-	var code uint64
-	var prevLen uint8
-	for i := range codes {
-		code <<= codes[i].len - prevLen
-		codes[i].code = code
-		code++
-		prevLen = codes[i].len
+// assignCodes gives every entry of a symbol-ordered codebook its
+// canonical code in place and returns the shortest code length. Canonical
+// order is (length, symbol); counting the entries per length yields each
+// length's first code, and walking the codebook in symbol order hands out
+// consecutive codes within a length — the same codes a (length, symbol)
+// sort assigns, in O(n + maxCodeLen) and without reordering the entries.
+func assignCodes(codes []symCode) (minLen uint8) {
+	var count [maxCodeLen + 1]uint32
+	for _, c := range codes {
+		count[c.len]++
 	}
-	return codes
+	next := firstCodes(&count)
+	for i := range codes {
+		l := codes[i].len
+		codes[i].code = next[l]
+		next[l]++
+	}
+	for l := 1; l <= maxCodeLen; l++ {
+		if count[l] != 0 {
+			return uint8(l)
+		}
+	}
+	return 0
+}
+
+// firstCodes returns the canonical first code of every length given the
+// per-length entry counts (count[0] must be zero).
+func firstCodes(count *[maxCodeLen + 1]uint32) (first [maxCodeLen + 1]uint64) {
+	var code uint64
+	for l := 1; l <= maxCodeLen; l++ {
+		code = (code + uint64(count[l-1])) << 1
+		first[l] = code
+	}
+	return first
 }
 
 // Encoder holds reusable encoding scratch (frequency tables, the tree-
-// build arena, codebooks, header buffer and the bit writer) so repeated
+// build arena, the codebook, emit tables and the bit writer) so repeated
 // Encode calls on a hot path stop allocating. The zero value is ready to
 // use; an Encoder is not safe for concurrent use. Output is byte-identical
 // to the package-level Encode.
@@ -268,19 +283,43 @@ type Encoder struct {
 	freq    map[uint32]uint64 // sparse-alphabet frequency fallback
 	dense   []uint64          // dense frequencies, indexed by symbol (all-zero between calls)
 	touched []uint32          // symbols seen this call, for the sparse reset
-	sf      []symFreq         // (symbol, frequency) worklist
+	sf      []symFreq         // (symbol, frequency) worklist, in symbol order
 	tb      treeBuilder
-	codes   []symCode // canonical codebook scratch
-	bySym   []symCode // codebook in symbol order for the header
+	codes   []symCode // codebook in symbol order
 	encLen  []uint8   // dense emit tables, indexed by symbol
 	encCode []uint64
 	table   map[uint32]symCode // sparse emit fallback
-	hdr     []byte
 	w       bitio.Writer
+
+	minLen  uint8 // shortest code length of the last encoding (0: empty)
+	hdrBits int   // codebook header bits of the last encoding
 }
 
-// AppendEncode Huffman-codes syms and appends the self-contained blob
-// (codebook header + bit stream) to dst, returning the extended slice.
+// ShortestCode returns the shortest code length in the codebook of the
+// last AppendEncode call, or 0 when that stream was empty. A 1-bit code
+// means one symbol carries at least a third of the stream — the regime
+// where the bit stream still has byte-level redundancy for a lossless
+// stage to find.
+func (e *Encoder) ShortestCode() int { return int(e.minLen) }
+
+// HeaderBits returns the size of the last AppendEncode call's codebook
+// header in bits, counts included; the rest of the blob is the symbol
+// body.
+func (e *Encoder) HeaderBits() int { return e.hdrBits }
+
+// AppendEncode Huffman-codes syms and appends the self-contained blob to
+// dst, returning the extended slice. The blob is the compact format:
+//
+//	uvarint nsyms, uvarint ncodes, and when ncodes > 0 uvarint firstSym;
+//	then one bit stream holding, per codebook entry in symbol order, the
+//	symbol step (a 0 bit for a step of 1, else a 1 bit and gamma(step-1);
+//	absent for the first entry) and gamma(zigzag(len - prevLen) + 1) with
+//	prevLen starting at 0, followed directly by the symbol codes.
+//
+// gamma is the Elias gamma code. Quantization codes cluster around the
+// middle bin, so most steps are 1 and neighbouring lengths differ by
+// little: an entry typically costs 2–4 bits against the two varint bytes
+// of the V1 (symbol-delta, length) pairs.
 func (e *Encoder) AppendEncode(dst []byte, syms []uint32) []byte {
 	var maxSym uint32
 	for _, s := range syms {
@@ -327,35 +366,41 @@ func (e *Encoder) AppendEncode(dst []byte, syms []uint32) []byte {
 		for s, f := range e.freq {
 			sf = append(sf, symFreq{sym: s, freq: f})
 		}
+		// The tree build is order-invariant; sorting here only puts the
+		// codebook in the symbol order the header is written in.
+		slices.SortFunc(sf, func(a, b symFreq) int { return cmp.Compare(a.sym, b.sym) })
 	}
 	e.sf = sf
 
 	codes := e.tb.codeLengths(e.codes[:0], sf)
 	limitLengths(codes)
-	codes = canonicalize(codes)
+	e.minLen = assignCodes(codes)
 	e.codes = codes
 
-	// Header: nsyms, count of distinct symbols, then (symbol, length) pairs
-	// with delta-coded symbols (quantization codes cluster near the middle
-	// bin, so deltas varint-pack tightly).
-	hdr := e.hdr[:0]
-	hdr = bitio.AppendUvarint(hdr, uint64(len(syms)))
-	hdr = bitio.AppendUvarint(hdr, uint64(len(codes)))
-	bySym := append(e.bySym[:0], codes...)
-	slices.SortFunc(bySym, func(a, b symCode) int { return cmp.Compare(a.sym, b.sym) })
-	e.bySym = bySym
-	prev := uint32(0)
-	for _, c := range bySym {
-		hdr = bitio.AppendUvarint(hdr, uint64(c.sym-prev))
-		hdr = bitio.AppendUvarint(hdr, uint64(c.len))
-		prev = c.sym
+	start := len(dst)
+	dst = bitio.AppendUvarint(dst, uint64(len(syms)))
+	dst = bitio.AppendUvarint(dst, uint64(len(codes)))
+	if len(codes) > 0 {
+		dst = bitio.AppendUvarint(dst, uint64(codes[0].sym))
 	}
-	e.hdr = hdr
-
-	// The bit stream is written straight onto dst after the header — no
-	// staging copy.
-	dst = bitio.AppendBytes(dst, hdr)
+	// The codebook and the symbol codes share one bit stream written
+	// straight onto dst — no staging copy, no padding between them.
 	e.w.Reset(dst)
+	var prevLen uint8
+	for i, c := range codes {
+		if i > 0 {
+			if step := c.sym - codes[i-1].sym; step == 1 {
+				e.w.WriteBits(0, 1)
+			} else {
+				e.w.WriteBits(1, 1)
+				writeGamma(&e.w, uint64(step-1))
+			}
+		}
+		writeGamma(&e.w, zigzag(int64(c.len)-int64(prevLen))+1)
+		prevLen = c.len
+	}
+	e.hdrBits = e.w.BitLen() - 8*start
+
 	if dense {
 		n := int(maxSym) + 1
 		if cap(e.encLen) < n {
@@ -400,6 +445,22 @@ func (e *Encoder) AppendEncode(dst []byte, syms []uint32) []byte {
 	}
 	return e.w.Bytes()
 }
+
+// writeGamma appends the Elias gamma code of v ≥ 1: bits.Len64(v)-1 zero
+// bits, then v itself.
+func writeGamma(w *bitio.Writer, v uint64) {
+	n := uint(bits.Len64(v))
+	if 2*n-1 <= 57 {
+		w.WriteBits(v, 2*n-1) // the leading zeros are v's own high bits
+		return
+	}
+	w.WriteBits(0, n-1)
+	w.WriteBits(v, n)
+}
+
+// zigzag maps a signed delta onto the naturals: 0, -1, 1, -2, ... →
+// 0, 1, 2, 3, ...
+func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
 // Encode Huffman-codes syms and returns a self-contained byte blob
 // (codebook header + bit stream). Decode inverts it.
@@ -451,11 +512,174 @@ type Decoder struct {
 	count [maxCodeLen + 1]uint32
 }
 
-// AppendDecode decodes blob appending into dst's spare capacity. It
-// returns an error for truncated or corrupt input without over-allocating:
-// claimed symbol counts are validated against the bit stream's actual size
-// and the codebook against the Kraft inequality before any table is built.
+// bitState is a bit-reader over buf: an accumulator, its valid-bit
+// count and a byte cursor. Bits of acc beyond nbit always mirror the
+// bytes still at pos (the refill contract of bitio.Reader), so a state
+// handed from the codebook parse to the symbol loop continues the same
+// stream exactly.
+type bitState struct {
+	buf  []byte
+	acc  uint64
+	nbit uint
+	pos  int
+}
+
+// refill tops the accumulator up to at least 57 valid bits, or to every
+// bit left in the stream.
+func (s *bitState) refill() {
+	if s.pos+8 <= len(s.buf) {
+		s.acc |= binary.BigEndian.Uint64(s.buf[s.pos:]) >> s.nbit
+		adv := (64 - s.nbit) >> 3
+		s.pos += int(adv)
+		s.nbit += adv * 8
+		return
+	}
+	for s.nbit <= 56 && s.pos < len(s.buf) {
+		s.acc |= uint64(s.buf[s.pos]) << (56 - s.nbit)
+		s.pos++
+		s.nbit += 8
+	}
+}
+
+// remaining is the number of unread bits.
+func (s *bitState) remaining() uint64 { return uint64(s.nbit) + 8*uint64(len(s.buf)-s.pos) }
+
+// gamma reads one Elias gamma code of a value below 2^32 (wider values
+// never occur in a valid codebook and are reported as corrupt).
+func (s *bitState) gamma() (uint64, error) {
+	if s.nbit < 57 {
+		s.refill()
+	}
+	z := uint(bits.LeadingZeros64(s.acc))
+	if z > 31 || z >= s.nbit {
+		return 0, errors.New("huffman: corrupt or truncated codebook")
+	}
+	if n := 2*z + 1; n <= s.nbit {
+		v := s.acc >> (64 - n)
+		s.acc <<= n
+		s.nbit -= n
+		return v, nil
+	}
+	s.acc <<= z
+	s.nbit -= z
+	s.refill()
+	if z+1 > s.nbit {
+		return 0, fmt.Errorf("huffman: codebook truncated: %w", bitio.ErrUnexpectedEOF)
+	}
+	v := s.acc >> (63 - z)
+	s.acc <<= z + 1
+	s.nbit -= z + 1
+	return v, nil
+}
+
+// bit reads one bit.
+func (s *bitState) bit() (uint64, error) {
+	if s.nbit == 0 {
+		s.refill()
+		if s.nbit == 0 {
+			return 0, fmt.Errorf("huffman: codebook truncated: %w", bitio.ErrUnexpectedEOF)
+		}
+	}
+	b := s.acc >> 63
+	s.acc <<= 1
+	s.nbit--
+	return b, nil
+}
+
+// codebookEntry validates one parsed (symbol, length) entry against the
+// running Kraft sum and appends it to codes.
+func codebookEntry(codes []symCode, sym, l uint64, kraft *uint64) ([]symCode, error) {
+	const full = uint64(1) << maxCodeLen
+	if l == 0 || l > maxCodeLen {
+		return nil, fmt.Errorf("huffman: invalid code length %d", l)
+	}
+	if sym > math.MaxUint32 {
+		return nil, errors.New("huffman: codebook symbol overflows uint32")
+	}
+	// A valid codebook satisfies the Kraft inequality; rejecting
+	// over-subscribed length sets here keeps the table build safe.
+	*kraft += full >> l
+	if *kraft > full {
+		return nil, errors.New("huffman: over-subscribed codebook")
+	}
+	return append(codes, symCode{sym: uint32(sym), len: uint8(l)}), nil
+}
+
+// AppendDecode decodes a compact-format blob (see Encoder.AppendEncode)
+// appending into dst's spare capacity. It returns an error for truncated
+// or corrupt input without over-allocating: claimed symbol and codebook
+// counts are validated against the bit stream's actual size and the
+// codebook against the Kraft inequality before any table is built.
 func (d *Decoder) AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
+	nsyms, k, err := bitio.Uvarint(blob)
+	if err != nil {
+		return nil, fmt.Errorf("huffman: symbol count: %w", err)
+	}
+	blob = blob[k:]
+	ncodes, k, err := bitio.Uvarint(blob)
+	if err != nil {
+		return nil, fmt.Errorf("huffman: code count: %w", err)
+	}
+	blob = blob[k:]
+	if nsyms > 0 && ncodes == 0 {
+		return nil, errors.New("huffman: nonempty stream with empty codebook")
+	}
+	codes := d.codes[:0]
+	s := bitState{}
+	if ncodes > 0 {
+		sym, k, err := bitio.Uvarint(blob)
+		if err != nil {
+			return nil, fmt.Errorf("huffman: first codebook symbol: %w", err)
+		}
+		s.buf = blob[k:]
+		// Every entry costs at least two bits, so a corrupt count cannot
+		// drive the codebook allocation.
+		if ncodes > s.remaining()/2+1 {
+			return nil, fmt.Errorf("huffman: %d codebook entries claimed in %d bits", ncodes, s.remaining())
+		}
+		var kraft uint64
+		var prevLen uint64
+		for i := uint64(0); i < ncodes; i++ {
+			if i > 0 {
+				b, err := s.bit()
+				if err != nil {
+					return nil, err
+				}
+				step := uint64(1)
+				if b == 1 {
+					g, err := s.gamma()
+					if err != nil {
+						return nil, err
+					}
+					step = g + 1
+				}
+				sym += step
+			}
+			g, err := s.gamma()
+			if err != nil {
+				return nil, err
+			}
+			zz := g - 1
+			l := prevLen + (zz>>1 ^ -(zz & 1)) // un-zigzag; wraps to an invalid length on corrupt input
+			if codes, err = codebookEntry(codes, sym, l, &kraft); err != nil {
+				return nil, err
+			}
+			prevLen = l
+		}
+	}
+	d.codes = codes
+	if nsyms == 0 {
+		return dst[:0], nil
+	}
+	return d.decodeSymbols(dst, nsyms, s)
+}
+
+// AppendDecodeV1 decodes a blob in the V1 layout: a length-prefixed
+// header of uvarint nsyms, ncodes and (symbol-delta, length) pairs in
+// symbol order, then the symbol codes from the next byte boundary. It is
+// the entropy format of version-1 sz payloads, kept so archives written
+// before the compact codebook stay readable; nothing encodes it anymore.
+func (d *Decoder) AppendDecodeV1(dst []uint32, blob []byte) ([]uint32, error) {
 	hdr, n, err := bitio.Bytes(blob)
 	if err != nil {
 		return nil, fmt.Errorf("huffman: reading header: %w", err)
@@ -475,16 +699,12 @@ func (d *Decoder) AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 	if nsyms > 0 && ncodes == 0 {
 		return nil, errors.New("huffman: nonempty stream with empty codebook")
 	}
-	// Every symbol costs at least one bit and every codebook entry at least
-	// two header bytes, so corrupt counts cannot drive the allocations below.
-	if nsyms > 8*uint64(len(body)) {
-		return nil, fmt.Errorf("huffman: %d symbols claimed but bit stream holds %d bits", nsyms, 8*len(body))
-	}
+	// Every codebook entry costs at least two header bytes, so a corrupt
+	// count cannot drive the allocation below.
 	if ncodes > uint64(len(hdr)) {
 		return nil, fmt.Errorf("huffman: %d codebook entries claimed in a %d-byte header", ncodes, len(hdr))
 	}
 
-	const full = uint64(1) << maxCodeLen
 	var kraft uint64
 	codes := d.codes[:0]
 	prev := uint64(0)
@@ -499,38 +719,38 @@ func (d *Decoder) AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 			return nil, fmt.Errorf("huffman: codebook length %d: %w", i, err)
 		}
 		hdr = hdr[k:]
-		if l == 0 || l > maxCodeLen {
-			return nil, fmt.Errorf("huffman: invalid code length %d", l)
-		}
 		if i > 0 && ds == 0 {
 			return nil, fmt.Errorf("huffman: duplicate codebook symbol %d", prev)
 		}
-		sym := prev + ds
-		if ds > math.MaxUint32 || sym > math.MaxUint32 {
+		if ds > math.MaxUint32 {
 			return nil, errors.New("huffman: codebook symbol overflows uint32")
 		}
-		// A valid codebook satisfies the Kraft inequality; rejecting
-		// over-subscribed length sets here keeps the table build safe.
-		kraft += full >> l
-		if kraft > full {
-			return nil, errors.New("huffman: over-subscribed codebook")
+		if codes, err = codebookEntry(codes, prev+ds, l, &kraft); err != nil {
+			return nil, err
 		}
-		codes = append(codes, symCode{sym: uint32(sym), len: uint8(l)})
-		prev = sym
+		prev += ds
 	}
 	d.codes = codes
-
 	if nsyms == 0 {
 		return dst[:0], nil
 	}
+	return d.decodeSymbols(dst, nsyms, bitState{buf: body})
+}
 
-	codes = canonicalize(codes)
-	tableBits, maxLen := d.build(codes)
+// decodeSymbols builds the tables for the parsed, symbol-ordered codebook
+// in d.codes and decodes nsyms symbols from s.
+func (d *Decoder) decodeSymbols(dst []uint32, nsyms uint64, s bitState) ([]uint32, error) {
+	// Every symbol costs at least one bit, so a corrupt count cannot
+	// drive the output allocation.
+	if nsyms > s.remaining() {
+		return nil, fmt.Errorf("huffman: %d symbols claimed but bit stream holds %d bits", nsyms, s.remaining())
+	}
+	tableBits, maxLen := d.build(d.codes)
 
 	// The symbol loop runs on a local bit-reader state — accumulator,
 	// valid-bit count and byte cursor — instead of a bitio.Reader, so the
 	// per-symbol cost is a table load and two shifts with no method-call
-	// or pointer traffic. The refill mirrors bitio.Reader.refill exactly
+	// or pointer traffic. The refill mirrors bitState.refill exactly
 	// (whole-word loads with the byte tail near the end; bits of acc
 	// beyond nbit mirror the bytes still at pos), and a code claiming
 	// more bits than the stream holds reports the same truncation error
@@ -547,11 +767,7 @@ func (d *Decoder) AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 	// bounds-check elimination and every probe pays a checked branch.
 	mask := uint64(len(lut) - 1)
 	shift := 64 - tableBits
-	var (
-		acc  uint64
-		nbit uint
-		pos  int
-	)
+	body, acc, nbit, pos := s.buf, s.acc, s.nbit, s.pos
 	for n := 0; n < int(nsyms); n++ {
 		// Refill only when the primary probe could run short: the bits of
 		// acc beyond nbit mirror the bytes still at pos, so the probe
@@ -652,46 +868,58 @@ func (d *Decoder) AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 	return out, nil
 }
 
-// build (re)fills the decoder's tables from a canonicalized codebook and
+// build (re)fills the decoder's tables from a symbol-ordered codebook and
 // returns the primary table's index width and the maximum code length.
-// The codebook must be non-empty and satisfy Kraft (validated by the
-// caller), which guarantees every fill range below stays in bounds.
+// Canonical codes come from the per-length counts (see assignCodes), and
+// the overflow path's canonical-order symbol table is filled by the same
+// counting sort — no comparison sort anywhere. The codebook must be
+// non-empty and satisfy Kraft (validated by the caller), which
+// guarantees every fill range below stays in bounds.
 func (d *Decoder) build(codes []symCode) (tableBits uint, maxLen uint) {
-	maxLen = uint(codes[len(codes)-1].len)
-	tableBits = maxLen
-	if tableBits > TableBits {
-		tableBits = TableBits
+	var count [maxCodeLen + 1]uint32
+	for _, c := range codes {
+		count[c.len]++
 	}
+	maxLen = maxCodeLen
+	for count[maxLen] == 0 {
+		maxLen--
+	}
+	tableBits = min(maxLen, TableBits)
+	next := firstCodes(&count)
+	var base int32
+	for l := 1; l <= int(maxLen); l++ {
+		d.first[l] = next[l]
+		d.base[l] = base
+		d.count[l] = count[l]
+		base += int32(count[l])
+	}
+
 	size := 1 << tableBits
 	if cap(d.lut) < size {
 		d.lut = make([]uint64, size)
 	}
 	d.lut = d.lut[:size]
 	clear(d.lut)
-	d.syms = d.syms[:0]
-	if maxLen > TableBits {
-		for i := range d.count {
-			d.count[i] = 0
-		}
+	if cap(d.syms) < len(codes) {
+		d.syms = make([]uint32, len(codes))
 	}
-	for i, c := range codes {
-		d.syms = append(d.syms, c.sym)
+	syms := d.syms[:len(codes)]
+	d.syms = syms
+	for _, c := range codes {
 		cl := uint(c.len)
+		code := next[cl]
+		next[cl]++
+		syms[d.base[cl]+int32(code-d.first[cl])] = c.sym
 		if cl <= tableBits {
 			entry := uint64(c.sym)<<8 | uint64(c.len)
-			lo := c.code << (tableBits - cl)
+			lo := code << (tableBits - cl)
 			hi := lo + 1<<(tableBits-cl)
 			for j := lo; j < hi; j++ {
 				d.lut[j] = entry
 			}
 			continue
 		}
-		if d.count[cl] == 0 {
-			d.first[cl] = c.code
-			d.base[cl] = int32(i)
-		}
-		d.count[cl]++
-		d.lut[c.code>>(cl-tableBits)] = lutLong
+		d.lut[code>>(cl-tableBits)] = lutLong
 	}
 
 	// Second pass: pair entries. Where the first code leaves enough index

@@ -1,28 +1,85 @@
 package huffman
 
 import (
+	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bitio"
 )
 
+// canonicalize is the reference canonical-code assignment: sort by
+// (length, symbol) and hand out consecutive codes. assignCodes and
+// Decoder.build must reproduce it exactly (TestAssignCodesMatchesSort).
+func canonicalize(codes []symCode) []symCode {
+	slices.SortFunc(codes, func(a, b symCode) int {
+		if a.len != b.len {
+			return int(a.len) - int(b.len)
+		}
+		return cmp.Compare(a.sym, b.sym)
+	})
+	var code uint64
+	var prevLen uint8
+	for i := range codes {
+		code <<= codes[i].len - prevLen
+		codes[i].code = code
+		code++
+		prevLen = codes[i].len
+	}
+	return codes
+}
+
+// encodeV1 writes syms in the V1 blob layout (length-prefixed uvarint
+// header of (symbol-delta, length) pairs, byte-aligned body) with the
+// same canonical codes the Encoder assigns — the layout version-1 sz
+// payloads carry, for exercising AppendDecodeV1.
+func encodeV1(syms []uint32) []byte {
+	var e Encoder
+	e.AppendEncode(nil, syms)
+	var hdr []byte
+	hdr = bitio.AppendUvarint(hdr, uint64(len(syms)))
+	hdr = bitio.AppendUvarint(hdr, uint64(len(e.codes)))
+	prev := uint32(0)
+	table := make(map[uint32]symCode, len(e.codes))
+	for _, c := range e.codes {
+		hdr = bitio.AppendUvarint(hdr, uint64(c.sym-prev))
+		hdr = bitio.AppendUvarint(hdr, uint64(c.len))
+		prev = c.sym
+		table[c.sym] = c
+	}
+	var w bitio.Writer
+	w.Reset(bitio.AppendBytes(nil, hdr))
+	for _, s := range syms {
+		w.WriteBits(table[s].code, uint(table[s].len))
+	}
+	return w.Bytes()
+}
+
+// roundTrip checks syms through the compact format and the V1 layout.
 func roundTrip(t *testing.T, syms []uint32) {
 	t.Helper()
-	blob := Encode(syms)
-	got, err := Decode(blob)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if len(got) != len(syms) {
-		t.Fatalf("decoded %d symbols, want %d", len(got), len(syms))
-	}
-	for i := range syms {
-		if got[i] != syms[i] {
-			t.Fatalf("symbol %d: got %d, want %d", i, got[i], syms[i])
+	check := func(name string, got []uint32, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(syms) {
+			t.Fatalf("%s: decoded %d symbols, want %d", name, len(got), len(syms))
+		}
+		for i := range syms {
+			if got[i] != syms[i] {
+				t.Fatalf("%s: symbol %d: got %d, want %d", name, i, got[i], syms[i])
+			}
 		}
 	}
+	got, err := Decode(Encode(syms))
+	check("compact", got, err)
+	var d Decoder
+	got, err = d.AppendDecodeV1(nil, encodeV1(syms))
+	check("v1", got, err)
 }
 
 func TestEmpty(t *testing.T)        { roundTrip(t, nil) }
@@ -217,7 +274,10 @@ func TestLongCodesOverflowPath(t *testing.T) {
 
 	var e Encoder
 	blob := e.AppendEncode(nil, syms)
-	maxLen := e.codes[len(e.codes)-1].len
+	var maxLen uint8
+	for _, c := range e.codes {
+		maxLen = max(maxLen, c.len)
+	}
 	if maxLen <= TableBits {
 		t.Fatalf("max code length %d does not exceed TableBits=%d; test is vacuous", maxLen, TableBits)
 	}
@@ -276,7 +336,7 @@ func TestDecoderReuse(t *testing.T) {
 	}
 }
 
-// corruptBlob assembles a syntactically framed blob from a hand-built
+// corruptBlob assembles a syntactically framed V1 blob from a hand-built
 // codebook: pairs are (deltaSym, len) varints, body is raw bit-stream
 // bytes.
 func corruptBlob(nsyms uint64, pairs [][2]uint64, body []byte) []byte {
@@ -306,9 +366,10 @@ func TestMalformedCodebooks(t *testing.T) {
 		{"zero length", corruptBlob(4, [][2]uint64{{0, 0}}, []byte{0xaa})},
 		{"over-long length", corruptBlob(4, [][2]uint64{{0, 58}}, []byte{0xaa})},
 	}
+	var d Decoder
 	for _, c := range cases {
-		if _, err := Decode(c.blob); err == nil {
-			t.Errorf("%s: Decode accepted a malformed codebook", c.name)
+		if _, err := d.AppendDecodeV1(nil, c.blob); err == nil {
+			t.Errorf("%s: AppendDecodeV1 accepted a malformed codebook", c.name)
 		}
 	}
 }
@@ -322,5 +383,155 @@ func TestCompressionBeatsRaw(t *testing.T) {
 	blob := Encode(syms)
 	if len(blob) > len(syms)/2 {
 		t.Fatalf("3-symbol stream took %d bytes for %d symbols", len(blob), len(syms))
+	}
+}
+
+// TestAssignCodesMatchesSort checks the counting-sort canonical codes of
+// the encoder (assignCodes) and the decoder (build) against the
+// reference (length, symbol) sort, over shallow, deep and length-limited
+// codebooks.
+func TestAssignCodesMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var books [][]symFreq
+	for _, n := range []int{1, 2, 3, 17, 300, 5000} {
+		sf := make([]symFreq, n)
+		sym := uint32(rng.Intn(100))
+		for i := range sf {
+			sym += uint32(1 + rng.Intn(3))
+			sf[i] = symFreq{sym: sym, freq: uint64(1 + rng.Intn(1+rng.Intn(4000)))}
+		}
+		books = append(books, sf)
+	}
+	fib := make([]symFreq, 90) // depths past maxCodeLen: limitLengths redistributes
+	a, b := uint64(1), uint64(1)
+	for i := range fib {
+		fib[i] = symFreq{sym: uint32(2 * i), freq: a}
+		a, b = b, a+b
+	}
+	books = append(books, fib)
+
+	var tb treeBuilder
+	var d Decoder
+	for bi, sf := range books {
+		codes := tb.codeLengths(nil, sf)
+		limitLengths(codes)
+		ref := canonicalize(append([]symCode(nil), codes...))
+		minLen := assignCodes(codes)
+		if minLen != ref[0].len {
+			t.Fatalf("book %d: shortest length %d, want %d", bi, minLen, ref[0].len)
+		}
+		bySym := make(map[uint32]symCode, len(codes))
+		for i, c := range codes {
+			if i > 0 && c.sym <= codes[i-1].sym {
+				t.Fatalf("book %d: assignCodes reordered the codebook", bi)
+			}
+			bySym[c.sym] = c
+		}
+		for _, r := range ref {
+			if got := bySym[r.sym]; got != r {
+				t.Fatalf("book %d symbol %d: %+v, want %+v", bi, r.sym, got, r)
+			}
+		}
+		// The decoder's canonical-order symbol table is the sorted order.
+		d.build(codes)
+		for i, r := range ref {
+			if d.syms[i] != r.sym {
+				t.Fatalf("book %d: decoder canonical slot %d holds %d, want %d", bi, i, d.syms[i], r.sym)
+			}
+		}
+	}
+}
+
+// compactBlob assembles a compact-format blob from a hand-built codebook
+// given as (step, length) pairs after firstSym (the first pair's step is
+// ignored), followed by raw body bytes.
+func compactBlob(nsyms uint64, firstSym uint64, entries [][2]uint64, body []byte) []byte {
+	blob := bitio.AppendUvarint(nil, nsyms)
+	blob = bitio.AppendUvarint(blob, uint64(len(entries)))
+	if len(entries) == 0 {
+		return append(blob, body...)
+	}
+	blob = bitio.AppendUvarint(blob, firstSym)
+	var w bitio.Writer
+	w.Reset(blob)
+	prevLen := int64(0)
+	for i, e := range entries {
+		if i > 0 {
+			if e[0] == 1 {
+				w.WriteBits(0, 1)
+			} else {
+				w.WriteBits(1, 1)
+				writeGamma(&w, e[0]-1)
+			}
+		}
+		writeGamma(&w, zigzag(int64(e[1])-prevLen)+1)
+		prevLen = int64(e[1])
+	}
+	return append(w.Bytes(), body...)
+}
+
+// TestMalformedCompactCodebooks pins the compact parser's rejection of
+// invalid codebooks: over-subscription, zero and over-long lengths,
+// symbol overflow, oversized gamma codes, implausible counts and
+// truncation inside the codebook.
+func TestMalformedCompactCodebooks(t *testing.T) {
+	cases := []struct {
+		name string
+		blob []byte
+	}{
+		{"over-subscribed", compactBlob(4, 0, [][2]uint64{{1, 1}, {1, 1}, {1, 1}}, []byte{0xaa})},
+		{"zero length", compactBlob(4, 0, [][2]uint64{{1, 0}}, []byte{0xaa})},
+		{"over-long length", compactBlob(4, 0, [][2]uint64{{1, 58}}, []byte{0xaa})},
+		{"symbol overflow", compactBlob(4, 1<<32, [][2]uint64{{1, 1}}, []byte{0xaa})},
+		{"step overflow", compactBlob(4, 1<<31, [][2]uint64{{1, 2}, {1 << 31, 2}}, []byte{0xaa})},
+		{"empty codebook", compactBlob(4, 0, nil, []byte{0xaa})},
+		{"count beyond stream", compactBlob(100, 5, [][2]uint64{{1, 1}}, []byte{0x00})},
+		{"codebook count beyond stream", append(bitio.AppendUvarint(bitio.AppendUvarint(nil, 4), 1000), 0, 0xff)},
+		{"gamma too wide", append(bitio.AppendUvarint(bitio.AppendUvarint(nil, 4), 2), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)},
+	}
+	full := Encode([]uint32{3, 4, 5, 9, 3, 3, 4})
+	for cut := 3; cut < 6 && cut < len(full); cut++ {
+		cases = append(cases, struct {
+			name string
+			blob []byte
+		}{"truncated codebook", full[:cut]})
+	}
+	var d Decoder
+	for _, c := range cases {
+		if _, err := d.AppendDecode(nil, c.blob); err == nil {
+			t.Errorf("%s: AppendDecode accepted a malformed codebook", c.name)
+		}
+	}
+}
+
+// TestCompactHeaderSmaller checks the compact codebook against the V1
+// varint pairs on a quantization-like stream: same canonical codes, so
+// the bodies are bit-identical, and a header well under half the size.
+func TestCompactHeaderSmaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	syms := make([]uint32, 2000)
+	for i := range syms {
+		syms[i] = uint32(32768 + int(rng.NormFloat64()*12))
+	}
+	var e Encoder
+	compact := e.AppendEncode(nil, syms)
+	hdrBits := e.HeaderBits()
+	v1 := encodeV1(syms)
+	v1Hdr, n, err := bitio.Bytes(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1Body := v1[n:]
+	if 8*len(v1Body) < 8*len(compact)-hdrBits-7 || 8*len(v1Body) > 8*len(compact)-hdrBits+7 {
+		t.Fatalf("bodies differ: v1 %d bytes, compact %d bits", len(v1Body), 8*len(compact)-hdrBits)
+	}
+	if 2*hdrBits > 8*len(v1Hdr) {
+		t.Fatalf("compact header %d bits, v1 header %d bytes: want under half", hdrBits, len(v1Hdr))
+	}
+	if e.ShortestCode() == 0 {
+		t.Fatal("ShortestCode reports an empty codebook")
+	}
+	if !bytes.Equal(Encode(syms), compact) {
+		t.Fatal("package Encode and a fresh Encoder disagree")
 	}
 }

@@ -11,6 +11,13 @@
 // collapsed into one fetch by a singleflight gate, so a fleet of workers
 // pulls each segment over the wire at most once.
 //
+// Faults are retried where they happen. Range GETs are idempotent, so a
+// request that fails in transport or loses its body mid-transfer is
+// retried inside the fetch a bounded number of times, resuming after the
+// bytes that already arrived (Stats.Retries counts these). A fill that
+// still fails hands its error only to the caller that issued it: callers
+// that were waiting on the shared fill fetch again themselves.
+//
 // Generation pinning: Open records the resource's ETag, every request
 // carries If-Range (strong validators only), and every response's ETag is
 // compared against the pinned one. A mid-read append or rewrite upstream
@@ -47,6 +54,12 @@ const (
 	DefaultCacheBytes = 32 << 20
 	// DefaultTimeout bounds each individual range request.
 	DefaultTimeout = 30 * time.Second
+	// fetchRetries bounds the extra attempts one fetch makes after
+	// transport failures and dropped bodies.
+	fetchRetries = 3
+	// retryBackoff is the pause before the first retry of a fetch; the
+	// n-th retry waits n times as long.
+	retryBackoff = 5 * time.Millisecond
 
 	minSegmentBytes = 4 << 10
 	maxSegmentBytes = 4 << 20
@@ -76,6 +89,7 @@ type Stats struct {
 	Hits         int64 `json:"hits"`          // segment lookups served from cache
 	Misses       int64 `json:"misses"`        // segment lookups that had to wait for a fill
 	Fills        int64 `json:"fills"`         // actual segment fills (≤ Misses: singleflight)
+	Retries      int64 `json:"retries"`       // range requests re-issued after a transient failure
 }
 
 // HitRatio is the fraction of segment lookups served from cache.
@@ -108,6 +122,7 @@ type Reader struct {
 
 	requests, fetched, read atomic.Int64
 	hits, misses, fills     atomic.Int64
+	retried                 atomic.Int64
 }
 
 type segment struct {
@@ -220,6 +235,7 @@ func (r *Reader) Stats() Stats {
 		Hits:         r.hits.Load(),
 		Misses:       r.misses.Load(),
 		Fills:        r.fills.Load(),
+		Retries:      r.retried.Load(),
 	}
 }
 
@@ -298,8 +314,11 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // segment returns the bytes of the aligned segment at start, from cache
-// or by fetching. Concurrent misses on one segment share a single fetch;
-// errors are returned to every waiter but never cached.
+// or by fetching. Concurrent misses on one segment share a single fetch.
+// Errors are never cached, and a failed shared fetch is not inherited:
+// each waiter fetches again on its own, so one dropped request costs one
+// extra fetch per waiter rather than a failed read in every caller that
+// happened to share it.
 func (r *Reader) segment(start, seg int64) ([]byte, error) {
 	r.mu.Lock()
 	if e, ok := r.segs[start]; ok {
@@ -313,20 +332,27 @@ func (r *Reader) segment(start, seg int64) ([]byte, error) {
 	if f, ok := r.inflight[start]; ok {
 		r.mu.Unlock()
 		<-f.done
-		return f.data, f.err
+		if f.err == nil {
+			return f.data, nil
+		}
+		data, err := r.fill(start, seg)
+		if err == nil {
+			r.mu.Lock()
+			r.insert(start, data)
+			r.mu.Unlock()
+		}
+		return data, err
 	}
 	f := &fill{done: make(chan struct{})}
 	r.inflight[start] = f
 	r.mu.Unlock()
 
-	r.fills.Add(1)
-	end := min(start+seg, r.size)
-	data, err := r.fetch(start, end)
+	data, err := r.fill(start, seg)
 	f.data, f.err = data, err
 
 	r.mu.Lock()
 	delete(r.inflight, start)
-	if err == nil && r.budget > 0 {
+	if err == nil {
 		r.insert(start, data)
 	}
 	r.mu.Unlock()
@@ -334,9 +360,18 @@ func (r *Reader) segment(start, seg int64) ([]byte, error) {
 	return data, err
 }
 
+// fill fetches the segment at start.
+func (r *Reader) fill(start, seg int64) ([]byte, error) {
+	r.fills.Add(1)
+	return r.fetch(start, min(start+seg, r.size))
+}
+
 // insert caches one segment, evicting least-recently-used segments past
 // the byte budget. Caller holds r.mu.
 func (r *Reader) insert(start int64, data []byte) {
+	if r.budget <= 0 {
+		return
+	}
 	if _, ok := r.segs[start]; ok {
 		return
 	}
@@ -351,17 +386,45 @@ func (r *Reader) insert(start int64, data []byte) {
 	}
 }
 
-// fetch pulls [start, end) in one range request and validates the
-// response shape: a 206 must match the requested span exactly (short or
-// over-long bodies are errors, not truncations), a 200 is accepted only
-// as the full resource with the prefix discarded, anything else fails.
+// transientError marks a fetch failure worth retrying: the request never
+// got an answer, or its body was cut short. Everything else — a changed
+// resource, a malformed or mismatched response, an HTTP error status —
+// is deterministic and fails at once.
+type transientError struct{ error }
+
+func (e transientError) Unwrap() error { return e.error }
+
+// fetch pulls [start, end), retrying transient failures up to
+// fetchRetries times. A retry asks only for the bytes that have not arrived yet.
 func (r *Reader) fetch(start, end int64) ([]byte, error) {
+	buf := make([]byte, 0, end-start)
+	for attempt := 0; ; attempt++ {
+		var err error
+		if buf, err = r.fetchOnce(buf, start+int64(len(buf)), end); err == nil {
+			return buf, nil
+		}
+		if !errors.As(err, new(transientError)) || attempt >= fetchRetries {
+			return nil, err
+		}
+		r.retried.Add(1)
+		time.Sleep(time.Duration(attempt+1) * retryBackoff)
+	}
+}
+
+// fetchOnce pulls [start, end) in one range request, appending the bytes
+// onto buf (whose spare capacity holds them), and validates the response
+// shape: a 206 must match the requested span exactly (short or over-long
+// bodies are errors, not truncations), a 200 is accepted only as the full
+// resource with the prefix discarded, anything else fails. On a body cut
+// short it returns buf extended by the bytes that did arrive, with a
+// transientError.
+func (r *Reader) fetchOnce(buf []byte, start, end int64) ([]byte, error) {
 	want := end - start
 	ctx, cancel := r.reqContext()
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url, nil)
 	if err != nil {
-		return nil, fmt.Errorf("remote: %s: %w", r.url, err)
+		return buf, fmt.Errorf("remote: %s: %w", r.url, err)
 	}
 	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", start, end-1))
 	if r.strong {
@@ -372,56 +435,64 @@ func (r *Reader) fetch(start, end int64) ([]byte, error) {
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("remote: %s: bytes [%d,%d): %w", r.url, start, end, err)
+		return buf, transientError{fmt.Errorf("remote: %s: bytes [%d,%d): %w", r.url, start, end, err)}
 	}
 	defer drain(resp)
 	r.requests.Add(1)
 	if et := resp.Header.Get("ETag"); et != "" && r.etag != "" && et != r.etag {
-		return nil, fmt.Errorf("remote: %s: etag %s -> %s: %w", r.url, r.etag, et, ErrChanged)
+		return buf, fmt.Errorf("remote: %s: etag %s -> %s: %w", r.url, r.etag, et, ErrChanged)
 	}
 	switch resp.StatusCode {
 	case http.StatusPartialContent:
 		first, last, total, err := parseContentRange(resp.Header.Get("Content-Range"))
 		if err != nil {
-			return nil, fmt.Errorf("remote: %s: %w", r.url, err)
+			return buf, fmt.Errorf("remote: %s: %w", r.url, err)
 		}
 		if total >= 0 && total != r.size {
-			return nil, fmt.Errorf("remote: %s: size %d -> %d: %w", r.url, r.size, total, ErrChanged)
+			return buf, fmt.Errorf("remote: %s: size %d -> %d: %w", r.url, r.size, total, ErrChanged)
 		}
 		if first != start || last != end-1 {
-			return nil, fmt.Errorf("remote: %s: asked bytes [%d,%d), got [%d,%d]", r.url, start, end, first, last)
+			return buf, fmt.Errorf("remote: %s: asked bytes [%d,%d), got [%d,%d]", r.url, start, end, first, last)
 		}
-		buf := make([]byte, want)
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
-			return nil, fmt.Errorf("remote: %s: short body for bytes [%d,%d): %w", r.url, start, end, err)
+		buf, err = r.readBody(buf, resp.Body, want)
+		if err != nil {
+			return buf, transientError{fmt.Errorf("remote: %s: short body for bytes [%d,%d): %w", r.url, start, end, err)}
 		}
 		var extra [1]byte
 		if m, _ := resp.Body.Read(extra[:]); m > 0 {
-			return nil, fmt.Errorf("remote: %s: over-long body for bytes [%d,%d)", r.url, start, end)
+			return buf, fmt.Errorf("remote: %s: over-long body for bytes [%d,%d)", r.url, start, end)
 		}
-		r.fetched.Add(want)
 		return buf, nil
 	case http.StatusOK:
 		// Range ignored (or If-Range did not match but the validator is
 		// unchanged/absent — the ETag comparison above already rejected a
 		// changed one): the body is the whole resource.
 		if resp.ContentLength >= 0 && resp.ContentLength != r.size {
-			return nil, fmt.Errorf("remote: %s: size %d -> %d: %w", r.url, r.size, resp.ContentLength, ErrChanged)
+			return buf, fmt.Errorf("remote: %s: size %d -> %d: %w", r.url, r.size, resp.ContentLength, ErrChanged)
 		}
-		if _, err := io.CopyN(io.Discard, resp.Body, start); err != nil {
-			return nil, fmt.Errorf("remote: %s: skipping to %d in full body: %w", r.url, start, err)
+		skipped, err := io.CopyN(io.Discard, resp.Body, start)
+		r.fetched.Add(skipped)
+		if err != nil {
+			return buf, transientError{fmt.Errorf("remote: %s: skipping to %d in full body: %w", r.url, start, err)}
 		}
-		buf := make([]byte, want)
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
-			return nil, fmt.Errorf("remote: %s: short body at %d in full response: %w", r.url, start, err)
+		if buf, err = r.readBody(buf, resp.Body, want); err != nil {
+			return buf, transientError{fmt.Errorf("remote: %s: short body at %d in full response: %w", r.url, start, err)}
 		}
-		r.fetched.Add(start + want)
 		return buf, nil
 	case http.StatusRequestedRangeNotSatisfiable:
-		return nil, fmt.Errorf("remote: %s: bytes [%d,%d) not satisfiable (http 416): %w", r.url, start, end, ErrChanged)
+		return buf, fmt.Errorf("remote: %s: bytes [%d,%d) not satisfiable (http 416): %w", r.url, start, end, ErrChanged)
 	default:
-		return nil, fmt.Errorf("remote: %s: http %d fetching bytes [%d,%d)", r.url, resp.StatusCode, start, end)
+		return buf, fmt.Errorf("remote: %s: http %d fetching bytes [%d,%d)", r.url, resp.StatusCode, start, end)
 	}
+}
+
+// readBody appends want bytes of body onto buf's spare capacity, and on
+// a short read returns buf extended by the bytes that did arrive.
+func (r *Reader) readBody(buf []byte, body io.Reader, want int64) ([]byte, error) {
+	n0 := len(buf)
+	n, err := io.ReadFull(body, buf[n0:n0+int(want)])
+	r.fetched.Add(int64(n))
+	return buf[:n0+n], err
 }
 
 func (r *Reader) reqContext() (context.Context, context.CancelFunc) {

@@ -475,3 +475,157 @@ func TestOpenErrors(t *testing.T) {
 		t.Fatal("Open of empty resource succeeded")
 	}
 }
+
+// TestFetchRetryResumes drops every other range response after half its
+// body: the fetch must retry, ask only for the bytes still missing, and
+// return the exact span, counting each retry.
+func TestFetchRetryResumes(t *testing.T) {
+	blob := testBlob(64 << 10)
+	var mu sync.Mutex
+	var ranges []string
+	var n int
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		rg := req.Header.Get("Range")
+		mu.Lock()
+		n++
+		drop := rg != "bytes=0-0" && n%2 == 0
+		ranges = append(ranges, rg)
+		mu.Unlock()
+		w.Header().Set("ETag", `"v1"`)
+		if !drop {
+			http.ServeContent(w, req, "b", time.Time{}, bytes.NewReader(blob))
+			return
+		}
+		var first, last int
+		fmt.Sscanf(rg, "bytes=%d-%d", &first, &last)
+		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", first, last, len(blob)))
+		w.WriteHeader(http.StatusPartialContent)
+		w.Write(blob[first : first+(last+1-first)/2])
+		w.(http.Flusher).Flush()
+		conn, _, _ := w.(http.Hijacker).Hijack()
+		conn.Close()
+	}))
+	defer ts.Close()
+	r, err := Open(ts.URL, Config{SegmentBytes: 16 << 10, CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got := make([]byte, len(blob))
+	if _, err := r.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, blob) {
+		t.Fatal("bytes differ after resumed retries")
+	}
+	st := r.Stats()
+	if st.Retries == 0 {
+		t.Fatal("dropped bodies were not retried")
+	}
+	if st.Fills != 4 {
+		t.Fatalf("%d fills for 4 segments", st.Fills)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	resumed := false
+	for _, rg := range ranges {
+		if rg == "bytes=8192-16383" {
+			resumed = true
+		}
+	}
+	if !resumed {
+		t.Fatalf("no retry resumed after the half body that arrived: %v", ranges)
+	}
+}
+
+// TestRetryBounded: an origin that always drops the body costs the
+// first attempt plus fetchRetries re-issues, then fails.
+func TestRetryBounded(t *testing.T) {
+	blob := testBlob(16 << 10)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Header.Get("Range") == "bytes=0-0" {
+			http.ServeContent(w, req, "b", time.Time{}, bytes.NewReader(blob))
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		conn, _, _ := w.(http.Hijacker).Hijack()
+		conn.Close()
+	}))
+	defer ts.Close()
+	r, err := Open(ts.URL, Config{SegmentBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf := make([]byte, 1<<10)
+	if _, err := r.ReadAt(buf, 0); err == nil {
+		t.Fatal("always-dropping origin did not fail the read")
+	}
+	if st := r.Stats(); st.Retries != fetchRetries || st.Requests != 1+1+fetchRetries {
+		t.Fatalf("retries %d, requests %d; want %d retries after the probe and first attempt", st.Retries, st.Requests, fetchRetries)
+	}
+}
+
+// TestWaitersRefetchAfterFailedFill: concurrent readers share one fill;
+// when that fill fails (every attempt of its fetch dropped), only the
+// reader that issued it sees the error — the waiters fetch again on
+// their own and succeed.
+func TestWaitersRefetchAfterFailedFill(t *testing.T) {
+	blob := testBlob(16 << 10)
+	release := make(chan struct{})
+	var mu sync.Mutex
+	dataReqs := 0
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("ETag", `"v1"`)
+		mu.Lock()
+		if req.Header.Get("Range") != "bytes=0-0" {
+			dataReqs++
+		}
+		drop := dataReqs >= 1 && dataReqs <= 1+fetchRetries
+		mu.Unlock()
+		if !drop {
+			http.ServeContent(w, req, "b", time.Time{}, bytes.NewReader(blob))
+			return
+		}
+		<-release
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		conn, _, _ := w.(http.Hijacker).Hijack()
+		conn.Close()
+	}))
+	defer ts.Close()
+	r, err := Open(ts.URL, Config{SegmentBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const readers = 6
+	errs := make(chan error, readers)
+	for i := 0; i < readers; i++ {
+		go func(i int) {
+			buf := make([]byte, 512)
+			_, err := r.ReadAt(buf, int64(i*1024))
+			if err == nil && !bytes.Equal(buf, blob[i*1024:i*1024+512]) {
+				err = errors.New("wrong bytes")
+			}
+			errs <- err
+		}(i)
+	}
+	for r.Stats().Misses < readers {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	failed := 0
+	for i := 0; i < readers; i++ {
+		if err := <-errs; err != nil {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d readers failed; want only the one whose fetch was dropped", failed)
+	}
+	if st := r.Stats(); st.Fills > st.Misses {
+		t.Fatalf("fills %d > misses %d", st.Fills, st.Misses)
+	}
+}

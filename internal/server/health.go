@@ -35,7 +35,11 @@ type healthCounters struct {
 
 // HealthStats is the /stats health section.
 type HealthStats struct {
+	// Retries counts frame reads retried by the serving tier; remote
+	// fetch faults are retried first inside the remote reader and counted
+	// in RemoteRetries, so only faults that survive those reach it.
 	Retries            int64 `json:"retries"`
+	RemoteRetries      int64 `json:"remote_retries"`
 	CorruptEvents      int64 `json:"corrupt_events"`
 	Quarantines        int64 `json:"quarantines"`
 	QuarantinedMembers int64 `json:"quarantined_members"`
@@ -239,6 +243,9 @@ func (s *Server) HealthStats() HealthStats {
 	}
 	s.mu.RUnlock()
 	for _, sa := range archives {
+		for _, rr := range sa.remotes {
+			hs.RemoteRetries += rr.Stats().Retries
+		}
 		if qs := sa.quarantinedList(); len(qs) > 0 {
 			if hs.Quarantined == nil {
 				hs.Quarantined = make(map[string][]int)

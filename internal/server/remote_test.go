@@ -161,8 +161,10 @@ func TestRemoteFaultsRetryNotQuarantine(t *testing.T) {
 			}
 		}
 	}
+	// Dropped responses are retried where they happen, inside the remote
+	// reader's fetch, so the retry count lives in RemoteRetries.
 	hs := s.HealthStats()
-	if hs.Retries == 0 {
+	if hs.RemoteRetries == 0 {
 		t.Fatal("injected faults never exercised the retry path")
 	}
 	if hs.Quarantines != 0 || hs.QuarantinedMembers != 0 {
@@ -170,6 +172,16 @@ func TestRemoteFaultsRetryNotQuarantine(t *testing.T) {
 	}
 	if hs.CorruptEvents != 0 {
 		t.Fatalf("network faults counted as corruption strikes: %+v", hs)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var stats struct {
+		Health struct {
+			RemoteRetries int64 `json:"remote_retries"`
+		} `json:"health"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil || stats.Health.RemoteRetries == 0 {
+		t.Fatalf("/v1/stats does not report the remote retries (err %v): %s", err, rec.Body.String())
 	}
 }
 

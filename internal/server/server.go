@@ -174,6 +174,10 @@ type servedArchive struct {
 	path     string
 	replicas *replica.Multi
 	repairMu sync.Mutex // serializes repair attempts on this archive
+
+	// remotes are the archive's URL sources, whose fetch-level retry
+	// counters HealthStats sums.
+	remotes []*remote.Reader
 }
 
 // view pins the current generation for the duration of one operation.
@@ -322,7 +326,8 @@ func (s *Server) Add(name string, spec ArchiveSpec) (string, error) {
 			return "", fmt.Errorf("%s: %w", spec.Primary, err)
 		}
 		tuneRemote(r, src, spec.Remote)
-		if err := s.AddReader(name, r, src); err != nil {
+		sa := &servedArchive{name: name, closer: src, remotes: remoteSources(src)}
+		if err := s.addArchive(sa, r); err != nil {
 			src.Close()
 			return "", err
 		}
@@ -376,7 +381,7 @@ func (s *Server) Add(name string, spec ArchiveSpec) (string, error) {
 	if remote.IsURL(path) {
 		path = ""
 	}
-	sa := &servedArchive{name: name, closer: serve, path: path, replicas: fetch}
+	sa := &servedArchive{name: name, closer: serve, path: path, replicas: fetch, remotes: remoteSources(srcs...)}
 	if err := s.addArchive(sa, r); err != nil {
 		serve.Close()
 		return "", err
@@ -404,6 +409,17 @@ func (s *Server) openSource(spec string, rcfg remote.Config) (sourceCloser, int6
 		return nil, 0, err
 	}
 	return fs, fs.Size(), nil
+}
+
+// remoteSources returns the URL-backed sources among srcs.
+func remoteSources(srcs ...replica.Source) []*remote.Reader {
+	var out []*remote.Reader
+	for _, src := range srcs {
+		if rr, ok := src.(*remote.Reader); ok {
+			out = append(out, rr)
+		}
+	}
+	return out
 }
 
 // tuneRemote sizes a remote source's read-ahead segments to the parsed

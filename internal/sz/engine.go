@@ -348,32 +348,47 @@ func (e *Encoder[T]) seal(kind int, dims []grid.Dims, n int, eb float64, opts Op
 	h = bitio.AppendUvarint(h, uint64(n))
 	h = bitio.AppendUvarint(h, math.Float64bits(eb))
 	h = bitio.AppendUvarint(h, uint64(opts.QuantBits))
-	lossless := uint64(1)
-	if opts.DisableLossless {
-		lossless = 0
+
+	huff := e.huff.AppendEncode(e.huffBuf[:0], codes)
+	e.huffBuf = huff[:0]
+	// DEFLATE is tried only where it can pay, and each section is kept
+	// DEFLATEd only when that is smaller. The code section has byte-level
+	// redundancy left only near Huffman's 1-bit floor: with no 1-bit code
+	// (the dominant symbol holds at most two fifths of the stream) its bit
+	// stream is within a fraction of a percent of what DEFLATE reaches. An
+	// empty literal pool has nothing to find and would grow to the
+	// DEFLATE framing bytes.
+	var deflCodes, deflLits bool
+	if !opts.DisableLossless {
+		var err error
+		defl := e.deflBuf[:0]
+		if e.huff.ShortestCode() == 1 {
+			if defl, err = deflateAppend(defl, huff); err != nil {
+				return nil, Stats{}, err
+			}
+			if deflCodes = len(defl) < len(huff); deflCodes {
+				huff = defl
+			} else {
+				defl = defl[:0]
+			}
+		}
+		if len(lits) > 0 {
+			start := len(defl)
+			if defl, err = deflateAppend(defl, lits); err != nil {
+				return nil, Stats{}, err
+			}
+			if deflLits = len(defl)-start < len(lits); deflLits {
+				lits = defl[start:]
+			}
+		}
+		e.deflBuf = defl[:0]
 	}
-	h = bitio.AppendUvarint(h, lossless)
+	h = bitio.AppendUvarint(h, uint64(modeFor(deflCodes, deflLits)))
 	h = bitio.AppendUvarint(h, uint64(len(dims)))
 	for _, d := range dims {
 		h = bitio.AppendUvarint(h, uint64(d.X))
 		h = bitio.AppendUvarint(h, uint64(d.Y))
 		h = bitio.AppendUvarint(h, uint64(d.Z))
-	}
-
-	huff := e.huff.AppendEncode(e.huffBuf[:0], codes)
-	e.huffBuf = huff[:0]
-	if !opts.DisableLossless {
-		var err error
-		defl := e.deflBuf[:0]
-		if defl, err = deflateAppend(defl, huff); err != nil {
-			return nil, Stats{}, err
-		}
-		huffLen := len(defl)
-		if defl, err = deflateAppend(defl, lits); err != nil {
-			return nil, Stats{}, err
-		}
-		e.deflBuf = defl[:0]
-		huff, lits = defl[:huffLen], defl[huffLen:]
 	}
 	out := make([]byte, 0, len(h)+len(huff)+len(lits)+16)
 	out = append(out, h...)
@@ -452,17 +467,24 @@ func (d *Decoder[T]) unseal(blob []byte, wantKind int) (header, []uint32, []byte
 	if err != nil {
 		return h, nil, nil, fmt.Errorf("sz: reading literal section: %w", err)
 	}
-	if h.lossless {
+	if h.lossless.codes() {
 		if huff, err = inflateAppend(d.huffBuf[:0], huff); err != nil {
 			return h, nil, nil, err
 		}
 		d.huffBuf = huff[:0]
+	}
+	if h.lossless.lits() {
 		if lits, err = inflateAppend(d.litBuf[:0], lits); err != nil {
 			return h, nil, nil, err
 		}
 		d.litBuf = lits[:0]
 	}
-	codes, err := d.huff.AppendDecode(d.codes[:0], huff)
+	var codes []uint32
+	if h.version == versionV1 {
+		codes, err = d.huff.AppendDecodeV1(d.codes[:0], huff)
+	} else {
+		codes, err = d.huff.AppendDecode(d.codes[:0], huff)
+	}
 	if err != nil {
 		return h, nil, nil, err
 	}

@@ -96,20 +96,43 @@ func TestGoldenPayloadHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Verified equal to the pre-refactor (PR 1) implementation's output.
-	const want = "208dd8c00876bd455b6cbb10af4d3497b144061fece7122f714307e9d9340e91"
+	// Version 2 payload (compact codebook), re-pinned from the version 1
+	// hash 208dd8c0…9340e91 when the codebook format changed.
+	const want = "411c14456f0dbd949ea81fb9b0d97273bad32564008d3bebd608ed3a7cfd3654"
 	if got := hex.EncodeToString(sha256sum(blob)); got != want {
 		t.Fatalf("payload hash %s, want %s — compressed format drifted", got, want)
 	}
-	// And with the DEFLATE stage on (stable for the Go release in go.mod;
-	// pinned to catch accidental level/stage changes, not stdlib drift).
+	// With the DEFLATE stage on: this codebook has no 1-bit code and the
+	// literals do not shrink, so no section is kept DEFLATEd and the bytes
+	// equal the DisableLossless payload (version 1 pinned fe1b54c2…9366d7c).
 	blob, _, err = CompressBlocks(blocks, Options{ErrorBound: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantLossless = "fe1b54c2108ac2146eb874f8c924fc66dc1ac47da55cbfb5e9bde74bf9366d7c"
+	const wantLossless = want
 	if got := hex.EncodeToString(sha256sum(blob)); got != wantLossless {
 		t.Fatalf("lossless payload hash %s, want %s — compressed format drifted", got, wantLossless)
+	}
+	// A payload that keeps both sections DEFLATEd (stable for the Go
+	// release in go.mod; pinned to catch accidental level/stage changes,
+	// not stdlib drift): a run-heavy code stream and a repetitive literal
+	// pool.
+	blocks = testBlocks(8, 8, 5)
+	for _, b := range blocks {
+		for j := 0; j < len(b.Data); j += 37 {
+			b.Data[j] = 1e30
+		}
+	}
+	blob, _, err = CompressBlocks(blocks, Options{ErrorBound: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, _, err := parseHeader(blob); err != nil || h.lossless != losslessBoth {
+		t.Fatalf("lossless mode %d (err %v), want %d", h.lossless, err, losslessBoth)
+	}
+	const wantBoth = "7b1a302ef5e6018f0567a0a2a949ddfe6c5956f185bbc34c96c01827b06a43f6"
+	if got := hex.EncodeToString(sha256sum(blob)); got != wantBoth {
+		t.Fatalf("deflated payload hash %s, want %s — compressed format drifted", got, wantBoth)
 	}
 }
 

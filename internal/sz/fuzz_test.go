@@ -103,6 +103,31 @@ func TestWriteDeltaSeedCorpus(t *testing.T) {
 	write("testdata/fuzz/FuzzDecompress", "seed_delta2", mut) // bit-flipped body
 }
 
+// TestWriteV2SeedCorpus writes every fuzzSeeds payload — version 2 since
+// the compact codebook — into the checked-in corpora as seed_v2_* when
+// UPDATE_FUZZ_SEEDS=1 is set (a no-op otherwise). The older seeds are
+// version 1 payloads and stay, so the deterministic fuzz runs cover both
+// decode paths.
+func TestWriteV2SeedCorpus(t *testing.T) {
+	if os.Getenv("UPDATE_FUZZ_SEEDS") == "" {
+		t.Skip("set UPDATE_FUZZ_SEEDS=1 to rewrite testdata/fuzz version 2 seeds")
+	}
+	write := func(dir, name string, data []byte) {
+		t.Helper()
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(data)))
+		if err := os.WriteFile(dir+"/"+name, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, s := range fuzzSeeds(t) {
+		write("testdata/fuzz/FuzzParseHeader", fmt.Sprintf("seed_v2_%02d", i), s)
+		write("testdata/fuzz/FuzzDecompress", fmt.Sprintf("seed_v2_%02d", i), s)
+		mut := append([]byte(nil), s...)
+		mut[len(mut)/3] ^= 0x40
+		write("testdata/fuzz/FuzzDecompress", fmt.Sprintf("seed_v2_%02d_flip", i), mut)
+	}
+}
+
 // FuzzParseHeader fuzzes the header parser and the header-only PeekBatch
 // path: no input may panic or claim implausible geometry that would make a
 // caller over-allocate.

@@ -12,7 +12,8 @@
 //     sees exactly the same neighborhood; values whose quantized
 //     reconstruction would violate the bound are stored as exact literals;
 //  3. entropy-code the quantization bins with canonical Huffman and pass
-//     the result (and the literal pool) through DEFLATE.
+//     each section (code stream, literal pool) through DEFLATE where that
+//     makes it smaller.
 //
 // The absolute reconstruction error of every value is guaranteed to be at
 // most the (effective) error bound; literals are exact.
@@ -62,7 +63,9 @@ type Options struct {
 	// 2^(QuantBits-1). Default 16, matching SZ's default 65536 bins.
 	QuantBits int
 	// DisableLossless skips the DEFLATE stage (useful for isolating the
-	// prediction/quantization behaviour in tests and ablations).
+	// prediction/quantization behaviour in tests and ablations). With it
+	// on, each section is kept DEFLATEd only when that is smaller, so a
+	// payload is never larger than its DisableLossless twin.
 	DisableLossless bool
 }
 
@@ -108,8 +111,13 @@ func (s Stats) Ratio() float64 {
 }
 
 const (
-	magic      = 0x535a4752 // "SZGR"
-	version    = 1
+	magic = 0x535a4752 // "SZGR"
+	// version is the payload version the encoder writes. Version 2 carries
+	// the code section as a compact Huffman codebook (huffman
+	// Decoder.AppendDecode) and a per-section lossless mode; version 1
+	// payloads (V1 codebook, lossless 0 or 1) still decode.
+	version    = 2
+	versionV1  = 1
 	kindRaw1D  = 1
 	kindGrid3D = 2
 	kindBatch  = 3
@@ -384,13 +392,40 @@ func takeLiteral[T grid.Float](src []byte) (T, []byte, error) {
 	}
 }
 
+// losslessMode records which payload sections are DEFLATEd.
+type losslessMode uint8
+
+const (
+	losslessNone  losslessMode = 0
+	losslessBoth  losslessMode = 1 // the only "on" value of version 1
+	losslessCodes losslessMode = 2 // code section only (version 2)
+	losslessLits  losslessMode = 3 // literal section only (version 2)
+)
+
+// modeFor returns the mode recording which sections were DEFLATEd.
+func modeFor(codes, lits bool) losslessMode {
+	switch {
+	case codes && lits:
+		return losslessBoth
+	case codes:
+		return losslessCodes
+	case lits:
+		return losslessLits
+	}
+	return losslessNone
+}
+
+func (m losslessMode) codes() bool { return m == losslessBoth || m == losslessCodes }
+func (m losslessMode) lits() bool  { return m == losslessBoth || m == losslessLits }
+
 // header is the decoded payload header.
 type header struct {
+	version   int
 	kind      int
 	n         int
 	eb        float64
 	quantBits int
-	lossless  bool
+	lossless  losslessMode
 	dims      []grid.Dims
 }
 
@@ -418,9 +453,10 @@ func parseHeader(blob []byte) (header, []byte, error) {
 		return h, nil, fmt.Errorf("sz: bad magic")
 	}
 	ver, err := u()
-	if err != nil || ver != version {
+	if err != nil || (ver != version && ver != versionV1) {
 		return h, nil, fmt.Errorf("sz: unsupported version")
 	}
+	h.version = int(ver)
 	kind, err := u()
 	if err != nil {
 		return h, nil, err
@@ -451,7 +487,14 @@ func parseHeader(blob []byte) (header, []byte, error) {
 	if err != nil {
 		return h, nil, err
 	}
-	h.lossless = ll == 1
+	maxMode := losslessLits
+	if h.version == versionV1 {
+		maxMode = losslessBoth
+	}
+	if ll > uint64(maxMode) {
+		return h, nil, fmt.Errorf("sz: unknown lossless mode %d in a version %d payload", ll, h.version)
+	}
+	h.lossless = losslessMode(ll)
 	nd, err := u()
 	if err != nil {
 		return h, nil, err
