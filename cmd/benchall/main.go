@@ -161,8 +161,8 @@ func main() {
 			tmp.Snapshots, tmp.Keyframe, tmp.IntraRatio, tmp.DeltaRatio, tmp.Improvement,
 			tmp.IntraWriteMBps, tmp.DeltaWriteMBps, tmp.ChainDepth,
 			tmp.DeltaExtractMBps, tmp.IntraExtractMBps, tmp.MaxErr)
-		fmt.Printf("[integrity: %d frames +%d footer bytes, read %.1f -> %.1f MB/s (%.2fx), scrub %.1f MB/s, flips %d/%d detected]\n",
-			integ.Frames, integ.FooterGrowth, integ.PlainReadMBps, integ.SummedReadMBps,
+		fmt.Printf("[integrity: %d frames in %d B, verified read %.1f MB/s, +scrub %.2fx, scrub %.1f MB/s, flips %d/%d detected]\n",
+			integ.Frames, integ.ArchiveBytes, integ.ReadMBps,
 			integ.VerifyOverhead, integ.ScrubMBps, integ.FlipsDetected, integ.FlipsInjected)
 		match := "MISMATCH"
 		if integ.RepairedReadsMatch {

@@ -11,7 +11,7 @@
 //	tacc verify     [-codec TAC] [-eb 1e9] [-rel] in.amr    (round-trip check)
 //	tacc verify     [-repair replica.taca] in.taca          (archive scrub; non-zero exit on damage)
 //	tacc repair     -replica replica.taca in.taca           (splice damaged frames back from a replica)
-//	tacc archive    [-eb 1e9] [-rel] [-scales 3,1] [-workers -1] [-batch 64] [-append] [-delta] [-keyframe 8] [-sum] [-fsum] out.taca in.amr...
+//	tacc archive    [-eb 1e9] [-rel] [-scales 3,1] [-workers -1] [-batch 64] [-append] [-delta] [-keyframe 8] out.taca in.amr...
 //	tacc ls         [-scrub] in.taca
 //	tacc extract    [-member 0] [-level -1] [-roi x0:x1,y0:y1,z0:z1] in.taca out.amr
 //
@@ -153,7 +153,7 @@ func usage() {
   tacc verify     [-repair replica.taca] in.taca    (archive scrub; non-zero exit on damage)
   tacc repair     -replica replica.taca in.taca     (splice damaged frames back from a replica)
   tacc errmap     [-codec ...] [-eb ...] [-rel] [-level 0] [-slice -1] in.amr out.png
-  tacc archive    [-eb 1e9] [-rel] [-scales 3,1] [-workers -1] [-batch 64] [-append] [-delta] [-keyframe 8] [-sum] [-fsum] out.taca in.amr...
+  tacc archive    [-eb 1e9] [-rel] [-scales 3,1] [-workers -1] [-batch 64] [-append] [-delta] [-keyframe 8] out.taca in.amr...
   tacc ls         [-scrub] in.taca
   tacc extract    [-member 0] [-level -1] [-roi x0:x1,y0:y1,z0:z1] in.taca out.amr`)
 	os.Exit(2)
@@ -347,7 +347,7 @@ func verifyArchive(path string) {
 			frames += len(m.Levels[li].Batches)
 		}
 	}
-	mode := "decode-verified (no stored digests; archive predates -sum)"
+	mode := "pre-v3 archive: decode-verified"
 	if r.Checksummed() {
 		mode = "digest-verified"
 	}
@@ -430,7 +430,9 @@ func repairArchive(path, replicaPath string) {
 // every instant. With -delta the writer runs in campaign mode: each
 // member delta-codes against the previous member of its field where that
 // pays, with a keyframe every -keyframe members bounding the reference
-// chain (appends continue the chain of the committed tail).
+// chain (appends continue the chain of the committed tail). Every archive
+// is written in the v4 format, with a digest per frame and a sealed
+// footer; appending to an older archive upgrades it.
 func archiveCmd(args []string) {
 	fs := flag.NewFlagSet("archive", flag.ExitOnError)
 	eb := fs.Float64("eb", 1e9, "error bound")
@@ -441,8 +443,6 @@ func archiveCmd(args []string) {
 	appendTo := fs.Bool("append", false, "append to an existing archive instead of creating it")
 	delta := fs.Bool("delta", false, "campaign mode: delta-code members against their predecessors")
 	keyframe := fs.Int("keyframe", 8, "with -delta, keyframe interval bounding reference chains")
-	sum := fs.Bool("sum", false, "store per-frame digests so reads and 'tacc verify' detect corruption")
-	fsum := fs.Bool("fsum", false, "additionally seal the footer with a self-digest (format v4, implies -sum)")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
@@ -487,15 +487,6 @@ func archiveCmd(args []string) {
 	w.BatchBlocks = *batch
 	if *delta {
 		w.Keyframe = *keyframe
-	}
-	if *sum {
-		// Appends to an already-checksummed archive inherit the flag;
-		// -sum on a legacy archive upgrades it (existing frames get
-		// digests backfilled at commit). It never downgrades.
-		w.Checksums = true
-	}
-	if *fsum {
-		w.FooterSum = true
 	}
 	t0 := time.Now()
 	var orig int64

@@ -3,6 +3,7 @@ package archive
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 )
@@ -13,9 +14,11 @@ import (
 // and returns a Writer already holding the committed member index: new
 // members stream through the usual BeginMember/AddDataset pipeline after
 // the old trailer, and Commit/Close seal them under a fresh
-// generation-stamped footer with crash-safe fsync ordering. Committed
+// generation-stamped v4 footer with crash-safe fsync ordering. Committed
 // bytes are never overwritten, so concurrent Readers opened on any
-// earlier generation stay valid throughout.
+// earlier generation stay valid throughout. A tail written before frame
+// digests (v1/v2) has them computed here, by reading its frames back
+// once, so the first commit upgrades the whole archive to v4.
 //
 // f must be open for both reading and writing; the Writer does not close
 // it.
@@ -41,6 +44,9 @@ func OpenAppend(f *os.File) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := digestFrames(f, rd.members); err != nil {
+		return nil, err
+	}
 	if _, err := f.Seek(rd.size, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("archive: seeking to append position: %w", err)
 	}
@@ -50,16 +56,33 @@ func OpenAppend(f *os.File) (*Writer, error) {
 		off:       rd.size,
 		members:   rd.members,
 		committed: rd.gen + 1,
-		// A checksummed tail keeps its digests: new frames are digested as
-		// they stream out instead of being read back at Commit. A v4 tail
-		// likewise keeps its footer digest on every later commit.
-		Checksums: rd.sums,
-		FooterSum: rd.fsum,
 		// The committed tail doubles as the delta-reference source: if the
 		// appender enables Keyframe, the first member of each field primes
 		// its reference by decoding the field's newest committed member.
 		tail: rd,
 	}, nil
+}
+
+// digestFrames fills in the CRC32C digest of every frame of a level that
+// carries none, reading the frames back from r.
+func digestFrames(r io.ReaderAt, members []Member) error {
+	for mi := range members {
+		for li := range members[mi].Levels {
+			idx := &members[mi].Levels[li]
+			if idx.Sums != nil {
+				continue
+			}
+			idx.Sums = make([]uint32, len(idx.Batches))
+			for b, rec := range idx.Batches {
+				blob := make([]byte, rec.Length)
+				if _, err := r.ReadAt(blob, rec.Offset); err != nil {
+					return fmt.Errorf("archive: member %d level %d batch %d: reading frame to digest it: %w", mi, li, b, err)
+				}
+				idx.Sums[b] = crc32.Checksum(blob, castagnoli)
+			}
+		}
+	}
+	return nil
 }
 
 // OpenAppendFile opens the TACA file at path read-write for appending.

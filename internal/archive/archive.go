@@ -13,83 +13,66 @@
 //     spatial region reads only the index and the covered batches from any
 //     io.ReaderAt, safely from many goroutines at once.
 //
-// File layout:
+// File layout (format v4, the only one the Writer produces):
 //
 //	header    "TACA" magic + 1 version byte
 //	frames    raw sz block-batch payloads, back to back, in index order
 //	footer    varint-coded member index (see encodeFooter)
-//	trailer   uint64 LE footer length + 8-byte end magic "TACAEND1"
+//	trailer   uint64 LE footer length + uint64 LE generation +
+//	          uint32 LE footer CRC32C + 8-byte end magic "TACAEND5"
 //
 // Each frame is an independently decodable sz.CompressBlocks stream over
 // up to BatchBlocks occupied unit blocks of one level, in row-major mask
 // order. Block coordinates are never stored: like the codec container,
 // the footer's occupancy masks fully determine which blocks the i-th
 // batch of a level covers, so the index costs one bit per unit block plus
-// two varints per batch.
+// a few varints per batch.
 //
 // Append and crash safety: an archive grows by appending — new frames go
 // after the previous footer+trailer (which are left intact), and the
 // grown archive is committed by writing a fresh footer over all members
-// followed by a generation-stamped trailer
-//
-//	trailer₂  uint64 LE footer length + uint64 LE generation + "TACAEND2"
-//
-// with fsync ordering (frames durable before the trailer is written, the
-// trailer durable before the commit is acknowledged). Nothing is ever
+// followed by a trailer stamped with the next generation, with fsync
+// ordering (frames durable before the trailer is written, the trailer
+// durable before the commit is acknowledged). Nothing is ever
 // overwritten, so a crash at any byte offset leaves the previous
 // generation's footer valid: Open first parses the trailer at EOF and, if
 // the tail is torn, scans backward for the newest committed generation,
 // ignoring (or, in OpenAppend, truncating) the torn tail.
 //
-// Campaign (delta) mode — format v2: when the writer's keyframe interval
-// is on, a member may be coded temporally against an earlier member of
-// the same field: its frames are sz.CompressBlocksDelta residuals whose
-// reference is the RECONSTRUCTION of the referenced member's matching
-// batch. Such archives commit with a v2 footer — the v1 index plus, per
-// member, a dependency link (reference member index + generation) and,
-// per batch, a coding-mode flag — and the trailer magic
+// Campaign (delta) mode: when the writer's keyframe interval is on, a
+// member may be coded temporally against an earlier member of the same
+// field: its frames are sz.CompressBlocksDelta residuals whose reference
+// is the RECONSTRUCTION of the referenced member's matching batch. The
+// footer carries, per member, a dependency link (reference member index
+// + generation) and, per batch, a coding-mode flag. Reference links
+// always point strictly backward in the member index, so chains
+// terminate by construction; the reader resolves them transparently, and
+// keyframes every K members bound the depth (see Writer.Keyframe).
 //
-//	trailer₃  uint64 LE footer length + uint64 LE generation + "TACAEND3"
+// Integrity: the footer records a CRC32C (Castagnoli) digest of every
+// frame, and readers verify the digest of every frame they read before
+// any bytes reach the codec, so a flipped bit inside a compressed payload
+// surfaces as ErrCorrupt instead of silently wrong field values;
+// Reader.Scrub audits every frame the same way without decoding. The
+// trailer's own digest covers the footer bytes and the trailer's length
+// and generation words: Open verifies it before trusting a single index
+// varint, and when the newest footer fails it — a torn or bit-flipped
+// index — falls back to the previous committed generation's trailer, so
+// index damage degrades the archive to its last good generation instead
+// of making it unreadable.
 //
-// which is what signals the v2 footer layout to readers (same 24-byte
-// shape as trailer₂, but legal at generation 0). Archives containing no
-// delta member commit with the v1 footer and trailers, byte-identical to
-// what this package wrote before delta mode existed. Reference links
-// always point strictly backward in the member index, so chains terminate
-// by construction; the reader resolves them transparently, and keyframes
-// every K members bound the depth (see Writer.Keyframe).
+// Older formats stay readable. Each is signaled by its trailer magic:
 //
-// Integrity (checksums) — format v3: a writer with Checksums on records a
-// CRC32C (Castagnoli) digest of every frame in the footer and commits
-// with the v3 footer layout — the v2 index plus, per batch, the digest
-// varint after the coding-mode flags — sealed by the trailer magic
+//	v1  TACAEND1  uint64 footer length + magic (16 bytes, generation 0):
+//	              no links, no digests
+//	v1  TACAEND2  uint64 footer length + uint64 generation + magic
+//	              (24 bytes): an appended v1 generation
+//	v2  TACAEND3  24-byte shape; the footer adds the delta links
+//	v3  TACAEND4  24-byte shape; the footer adds the frame digests
 //
-//	trailer₄  uint64 LE footer length + uint64 LE generation + "TACAEND4"
-//
-// (same 24-byte shape again, legal at generation 0). Readers verify the
-// digest of every frame they read before any bytes reach the codec, so a
-// flipped bit inside a compressed payload surfaces as ErrCorrupt instead
-// of silently wrong field values; Reader.Scrub audits every frame of the
-// archive the same way without decoding. Checksums are strictly opt-in:
-// with them off the output stays byte-identical to the v1/v2 formats
-// above, and v1–v3 archives (no digests) remain fully readable.
-//
-// Footer self-digest — format v4: per-frame digests leave the index
-// itself unverified, so a writer with FooterSum on additionally records a
-// CRC32C digest of the footer bytes (and of the trailer's length and
-// generation words) in the trailer:
-//
-//	trailer₅  uint64 LE footer length + uint64 LE generation +
-//	          uint32 LE footer CRC32C + "TACAEND5"
-//
-// (28 bytes; the footer layout itself is unchanged from v3). Open
-// verifies the digest before trusting a single index varint, and when the
-// newest footer fails it — a torn or bit-flipped index — falls back to the
-// previous committed generation's trailer, so index damage degrades the
-// archive to its last good generation instead of making it unreadable.
-// Like checksums, the footer digest is opt-in and sticky: with it off the
-// output is byte-identical to v1–v3, and once an archive commits at v4
-// every later append keeps the footer digest.
+// A v1–v3 archive opens, extracts and scrubs (by decoding, where it
+// holds no digests) as written; OpenAppend digests its frames once, at
+// open, so the first append commits the whole archive at v4.
 package archive
 
 import (
@@ -104,7 +87,8 @@ import (
 )
 
 const (
-	// Version is the TACA format version this package reads and writes.
+	// Version is the TACA header version byte. It has never changed: the
+	// footer layout is signaled by the trailer magic instead.
 	Version = 1
 	// DefaultBatchBlocks is the default number of unit blocks per frame:
 	// large enough that the shared Huffman codebook amortizes, small
@@ -157,7 +141,7 @@ type LevelIndex struct {
 	// Sums holds the CRC32C digest of every batch frame's raw bytes,
 	// parallel to Batches. nil — the only state a v1/v2 footer can
 	// produce — means the level carries no digests and frame reads are
-	// verified structurally only.
+	// verified structurally only; the Writer always records them.
 	Sums []uint32
 
 	// occupied caches Mask.Count(), set by the reader and writer index
@@ -226,7 +210,7 @@ type Member struct {
 	// Ref is the member index this member's delta batches reference, or
 	// −1 when the member is fully intra-coded. References always point
 	// strictly backward (Ref < the member's own index), so chains
-	// terminate; only v2 footers can carry Ref ≥ 0.
+	// terminate; v1 footers cannot carry Ref ≥ 0.
 	Ref int
 	// Gen is the archive generation the member was committed in (0 for
 	// the initial write). v1 footers do not record it.
@@ -260,27 +244,13 @@ func (m *Member) CompressedBytes() int64 {
 	return n
 }
 
-// needV2 reports whether the member set requires the v2 footer layout —
-// any delta-coded member. Intra-only archives stay on v1 so their bytes
-// are unchanged from pre-delta writers.
-func needV2(members []Member) bool {
-	for i := range members {
-		if members[i].Ref >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// encodeFooter serializes the member index at the given footer version.
-// The v2 layout interleaves the dependency links: per member a reference
-// index (+1, 0 = none) and generation after QuantBits, and per batch a
-// coding-mode flag varint after the batch records. The v3 layout is v2
-// plus, per batch, the frame's CRC32C digest varint after the mode flags
-// — all-or-nothing: every level of every member must carry digests.
-func encodeFooter(members []Member, ver int) ([]byte, error) {
-	v2 := ver >= 2
-	sums := ver >= 3
+// encodeFooter serializes the member index in the v3 footer layout: the
+// v1 index interleaved with the dependency links — per member a reference
+// index (+1, 0 = none) and generation after QuantBits, per batch a
+// coding-mode flag varint after the batch records — and, per batch, the
+// frame's CRC32C digest varint after the mode flags. Every level of
+// every member must carry a digest per frame.
+func encodeFooter(members []Member) ([]byte, error) {
 	var out []byte
 	out = bitio.AppendUvarint(out, uint64(len(members)))
 	for mi := range members {
@@ -291,15 +261,11 @@ func encodeFooter(members []Member, ver int) ([]byte, error) {
 		out = bitio.AppendUvarint(out, math.Float64bits(m.ErrorBound))
 		out = bitio.AppendUvarint(out, uint64(m.Mode))
 		out = bitio.AppendUvarint(out, uint64(m.QuantBits))
-		if v2 {
-			if m.Ref >= mi {
-				return nil, fmt.Errorf("archive: member %d references member %d (must point strictly backward)", mi, m.Ref)
-			}
-			out = bitio.AppendUvarint(out, uint64(m.Ref+1)) // −1 (intra) encodes as 0
-			out = bitio.AppendUvarint(out, uint64(m.Gen))
-		} else if m.Ref >= 0 {
-			return nil, fmt.Errorf("archive: member %d is delta-coded but footer is v1", mi)
+		if m.Ref >= mi {
+			return nil, fmt.Errorf("archive: member %d references member %d (must point strictly backward)", mi, m.Ref)
 		}
+		out = bitio.AppendUvarint(out, uint64(m.Ref+1)) // −1 (intra) encodes as 0
+		out = bitio.AppendUvarint(out, uint64(m.Gen))
 		out = bitio.AppendUvarint(out, uint64(len(m.LevelScales)))
 		for _, s := range m.LevelScales {
 			out = bitio.AppendUvarint(out, math.Float64bits(s))
@@ -322,27 +288,21 @@ func encodeFooter(members []Member, ver int) ([]byte, error) {
 				out = bitio.AppendUvarint(out, uint64(b.Offset))
 				out = bitio.AppendUvarint(out, uint64(b.Length))
 			}
-			if v2 {
-				if li.Delta != nil && len(li.Delta) != len(li.Batches) {
-					return nil, fmt.Errorf("archive: member %d level %d has %d delta flags for %d batches", mi, i, len(li.Delta), len(li.Batches))
-				}
-				for b := range li.Batches {
-					var flag uint64
-					if li.IsDelta(b) {
-						flag = 1
-					}
-					out = bitio.AppendUvarint(out, flag)
-				}
+			if li.Delta != nil && len(li.Delta) != len(li.Batches) {
+				return nil, fmt.Errorf("archive: member %d level %d has %d delta flags for %d batches", mi, i, len(li.Delta), len(li.Batches))
 			}
-			if sums {
-				if len(li.Sums) != len(li.Batches) {
-					return nil, fmt.Errorf("archive: member %d level %d has %d checksums for %d batches", mi, i, len(li.Sums), len(li.Batches))
+			for b := range li.Batches {
+				var flag uint64
+				if li.IsDelta(b) {
+					flag = 1
 				}
-				for _, s := range li.Sums {
-					out = bitio.AppendUvarint(out, uint64(s))
-				}
-			} else if li.Sums != nil && len(li.Sums) != 0 {
-				return nil, fmt.Errorf("archive: member %d level %d carries checksums but footer is v%d", mi, i, ver)
+				out = bitio.AppendUvarint(out, flag)
+			}
+			if len(li.Sums) != len(li.Batches) {
+				return nil, fmt.Errorf("archive: member %d level %d has %d checksums for %d batches", mi, i, len(li.Sums), len(li.Batches))
+			}
+			for _, s := range li.Sums {
+				out = bitio.AppendUvarint(out, uint64(s))
 			}
 		}
 	}

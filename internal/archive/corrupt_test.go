@@ -59,12 +59,12 @@ func TestCorruptIndexCleanErrors(t *testing.T) {
 	snaps := testSnapshots(t)
 	blob := buildArchive(t, snaps[:2], codec.Config{ErrorBound: testEB}, 8)
 
-	// Locate the footer: the last 16 bytes are length + magic.
+	// Locate the footer: the trailer opens with its length.
 	var flen uint64
 	for i := 7; i >= 0; i-- {
-		flen = flen<<8 | uint64(blob[len(blob)-trailerLen+i])
+		flen = flen<<8 | uint64(blob[len(blob)-trailer5Len+i])
 	}
-	footerStart := len(blob) - trailerLen - int(flen)
+	footerStart := len(blob) - trailer5Len - int(flen)
 
 	// Flip one bit in every footer byte (step 3 keeps the test fast while
 	// still covering every varint field class), plus the whole trailer.
@@ -96,9 +96,7 @@ func TestTruncatedArchiveCleanErrors(t *testing.T) {
 
 // TestFrameDamageIsErrCorrupt flips bits inside the data section (the
 // frames) and asserts decode failures are tagged ErrCorrupt with
-// member/level/batch context. Frame payload damage may also decode to
-// different values without erroring (sz streams are not checksummed);
-// only actual errors are inspected.
+// member/level/batch context.
 func TestFrameDamageIsErrCorrupt(t *testing.T) {
 	snaps := testSnapshots(t)
 	blob := buildArchive(t, snaps[:1], codec.Config{ErrorBound: testEB}, 8)
@@ -124,8 +122,8 @@ func TestFrameDamageIsErrCorrupt(t *testing.T) {
 	}
 }
 
-// TestDeltaCorruptionBlastRadius bit-flips one frame of a checksummed
-// campaign archive and maps the damage: every member whose reference
+// TestDeltaCorruptionBlastRadius bit-flips one frame of a campaign
+// archive and maps the damage: every member whose reference
 // chain passes through the damaged frame must fail with ErrCorrupt —
 // never reconstruct from a poisoned reference — and every other member
 // must extract byte-identical to the clean archive.
@@ -139,7 +137,6 @@ func TestDeltaCorruptionBlastRadius(t *testing.T) {
 	}
 	w.BatchBlocks = 16
 	w.Keyframe = keyframe
-	w.Checksums = true
 	for _, ds := range snaps {
 		if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB}); err != nil {
 			t.Fatal(err)

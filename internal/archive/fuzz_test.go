@@ -12,10 +12,12 @@ import (
 )
 
 // FuzzOpen throws mutated archive bytes — seeded with fresh,
-// appended/multi-generation, and torn-tail archives so the
-// generation-stamped trailer and the recovery scan are both in the
-// corpus — at the full open path: trailer parse, recovery scan, footer
-// decode, frame-bounds validation. Open must never panic, and any Reader
+// appended/multi-generation, campaign and torn-tail archives from the
+// writer, plus every older-format fixture under testdata with torn and
+// footer-flipped variants, so every trailer version, the recovery scan,
+// the footer digest and the hostile-link checks are all in the corpus —
+// at the full open path: trailer parse, recovery scan, footer decode,
+// frame-bounds validation. Open must never panic, and any Reader
 // it does return must hold an index whose every batch decodes or fails
 // cleanly.
 func FuzzOpen(f *testing.F) {
@@ -32,7 +34,7 @@ func FuzzOpen(f *testing.F) {
 		return ds
 	}
 
-	// Seed 1: a single-generation archive.
+	// Seed 0: a single-generation archive.
 	writeSeedArchive(f, path, mkSnap("s0", 1))
 	gen0, err := os.ReadFile(path)
 	if err != nil {
@@ -40,7 +42,8 @@ func FuzzOpen(f *testing.F) {
 	}
 	f.Add(gen0)
 
-	// Seeds 2-3: two appended generations, and a torn tail mid-append.
+	// Seeds 1-3: two appended generations, a torn tail mid-append, and a
+	// torn trailer.
 	for i := 1; i <= 2; i++ {
 		w, fl, err := OpenAppendFile(path)
 		if err != nil {
@@ -59,13 +62,13 @@ func FuzzOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(multi)
-	f.Add(multi[:len(gen0)+(len(multi)-len(gen0))/2]) // torn second append
-	f.Add(multi[:len(multi)-5])                       // torn trailer
-	f.Add([]byte("TACA\x01 not really an archive TACAEND1"))
+	f.Add(multi[:len(gen0)+(len(multi)-len(gen0))/2])        // torn second append
+	f.Add(multi[:len(multi)-5])                              // torn trailer
+	f.Add([]byte("TACA\x01 not really an archive TACAEND1")) // seed 4
 
-	// Seeds 4-6: a v2 campaign archive (delta members under TACAEND3),
-	// a torn delta tail, and a bit-flip inside its footer region — the
-	// mutation engine starts from here to attack the dependency links.
+	// Seeds 5-7: a campaign archive (delta members), a torn delta tail,
+	// and a bit-flip inside its footer region — the mutation engine
+	// starts from here to attack the dependency links.
 	dpath := filepath.Join(dir, "delta.taca")
 	dfl, err := os.Create(dpath)
 	if err != nil {
@@ -88,94 +91,44 @@ func FuzzOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	dfl.Close()
-	dv2, err := os.ReadFile(dpath)
+	delta, err := os.ReadFile(dpath)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(dv2)
-	f.Add(dv2[:len(dv2)-trailer3Len-7]) // torn delta tail: footer cut mid-record
-	flip := append([]byte(nil), dv2...)
-	flip[len(flip)-trailer3Len-10] ^= 0x08 // corrupt a footer byte near the links
+	f.Add(delta)
+	f.Add(delta[:len(delta)-trailer5Len-7]) // torn delta tail: footer cut mid-record
+	flip := append([]byte(nil), delta...)
+	flip[len(flip)-trailer5Len-10] ^= 0x08 // corrupt a footer byte near the links
 	f.Add(flip)
 
-	// Seeds 7-8: a v3 checksummed campaign archive (digests under
-	// TACAEND4) and a flip in its digest region, so the mutation engine
-	// attacks the sum varints and the checksum-verified read path.
-	spath := filepath.Join(dir, "sums.taca")
-	sfl, err := os.Create(spath)
-	if err != nil {
-		f.Fatal(err)
+	// Seeds 8-9: a footer flip in the multi-generation archive that the
+	// footer digest must reject, so Open falls back a generation, and a
+	// flip inside the trailer's digest word itself.
+	vflip := append([]byte(nil), multi...)
+	vflip[len(vflip)-trailer5Len-9] ^= 0x10
+	f.Add(vflip)
+	cflip := append([]byte(nil), multi...)
+	cflip[len(cflip)-10] ^= 0x10
+	f.Add(cflip)
+
+	// Then every fixture the older writers produced (v1 under TACAEND1
+	// and TACAEND2, v2 under TACAEND3, v3 under TACAEND4, and a v4 one):
+	// each as written, cut mid-footer, and with a footer byte flipped.
+	fixtures, err := filepath.Glob("testdata/*.taca")
+	if err != nil || len(fixtures) == 0 {
+		f.Fatalf("no archive fixtures: %v", err)
 	}
-	sw, err := NewWriter(sfl)
-	if err != nil {
-		f.Fatal(err)
-	}
-	sw.BatchBlocks = 8
-	sw.Keyframe = 3
-	sw.Checksums = true
-	prev = mkSnap("c0", 13)
-	for i := 0; i < 3; i++ {
-		if err := sw.AddDataset(prev, codec.Config{ErrorBound: 1e9}); err != nil {
+	for _, fx := range fixtures {
+		blob, err := os.ReadFile(fx)
+		if err != nil {
 			f.Fatal(err)
 		}
-		prev = driftDataset(prev, "c"+string(rune('1'+i)), 1e9, int64(10+i))
+		f.Add(blob)
+		f.Add(blob[:len(blob)-40])
+		ff := append([]byte(nil), blob...)
+		ff[len(ff)-40] ^= 0x08
+		f.Add(ff)
 	}
-	if err := sw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	sfl.Close()
-	sv3, err := os.ReadFile(spath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(sv3)
-	sflip := append([]byte(nil), sv3...)
-	sflip[len(sflip)-trailer4Len-6] ^= 0x11 // corrupt a footer byte near the digests
-	f.Add(sflip)
-
-	// Seeds 9-11: a multi-generation v4 archive (footer digest under
-	// TACAEND5), a footer-digest flip that must fall back to the previous
-	// generation, and a flip inside the digest word itself.
-	vpath := filepath.Join(dir, "fsum.taca")
-	vfl, err := os.Create(vpath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	vw, err := NewWriter(vfl)
-	if err != nil {
-		f.Fatal(err)
-	}
-	vw.BatchBlocks = 8
-	vw.FooterSum = true
-	if err := vw.AddDataset(mkSnap("v0", 21), codec.Config{ErrorBound: 1e9}); err != nil {
-		f.Fatal(err)
-	}
-	if err := vw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	vfl.Close()
-	vw2, vfl2, err := OpenAppendFile(vpath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := vw2.AddDataset(mkSnap("v1", 22), codec.Config{ErrorBound: 1e9}); err != nil {
-		f.Fatal(err)
-	}
-	if err := vw2.Close(); err != nil {
-		f.Fatal(err)
-	}
-	vfl2.Close()
-	fv4, err := os.ReadFile(vpath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(fv4)
-	vflip := append([]byte(nil), fv4...)
-	vflip[len(vflip)-trailer5Len-9] ^= 0x10 // footer flip: digest must reject, Open falls back a generation
-	f.Add(vflip)
-	cflip := append([]byte(nil), fv4...)
-	cflip[len(cflip)-10] ^= 0x10 // flip inside the trailer's digest word
-	f.Add(cflip)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 1<<20 {

@@ -112,7 +112,7 @@ func openAt(r io.ReaderAt, end int64) (*Reader, error) {
 			return nil, fmt.Errorf("archive: %w: %d bytes is too short for a generation trailer", ErrCorrupt, end)
 		}
 	case trailer3Magic:
-		// Same 24-byte shape as trailer₂, but signals the v2 (delta-aware)
+		// Same 24-byte shape as TACAEND2, but signals the v2 (delta-aware)
 		// footer layout and is legal at generation 0.
 		tlen = trailer3Len
 		ver = 2

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -45,34 +46,10 @@ type Writer struct {
 	// so a delta archive is never larger than its intra counterpart. A
 	// fresh keyframe (fully intra member) starts at least every Keyframe
 	// members per field, bounding every reference chain a reader must
-	// resolve. 0 or 1 disables delta coding entirely, and the output is
-	// then byte-identical to a pre-delta writer (v1 footer and trailers).
+	// resolve. 0 or 1 disables delta coding entirely.
 	// Delta mode keeps one reconstructed snapshot per field in memory,
 	// relaxing the streaming-memory guarantee by the field's stored cells.
 	Keyframe int
-
-	// Checksums records a CRC32C digest of every frame in the footer and
-	// commits the v3 (TACAEND4) format, so readers verify each frame
-	// before decoding and Scrub audits without decoding. Set it before
-	// the first frame is written; enabling it later is only supported on
-	// file-backed writers (OpenAppend), where Commit backfills digests
-	// for already-written frames by reading them back. Off (the default)
-	// leaves the output byte-identical to the pre-checksum formats. Once
-	// an archive carries digests they are kept on every later commit,
-	// whether or not the appending writer sets this (OpenAppend inherits
-	// it from the tail).
-	Checksums bool
-
-	// FooterSum additionally records a CRC32C digest of the footer bytes
-	// (and of the trailer's length and generation words) in the trailer,
-	// committing the v4 (TACAEND5) format: Open verifies the index itself
-	// before trusting it and falls back to the previous committed
-	// generation when the newest footer is damaged. Implies Checksums —
-	// an index worth digesting indexes digested frames — with the same
-	// set-before-the-first-frame rule, and is equally sticky across
-	// appends (OpenAppend inherits it from a v4 tail). Off (the default)
-	// leaves the output byte-identical to the v1–v3 formats.
-	FooterSum bool
 
 	w       io.Writer
 	file    *os.File // non-nil for append-mode writers: enables Commit's fsync ordering
@@ -501,64 +478,16 @@ func (mw *MemberWriter) AddLevel(l *amr.Level) error {
 	return nil
 }
 
-// writeFrame emits one batch frame and records it in the level index,
-// digesting it on the way out when checksums are on.
+// writeFrame emits one batch frame and records it, with its CRC32C
+// digest, in the level index.
 func (w *Writer) writeFrame(blob []byte, idx *LevelIndex) error {
 	if _, err := w.w.Write(blob); err != nil {
 		return fmt.Errorf("archive: writing frame: %w", err)
 	}
 	idx.Batches = append(idx.Batches, BatchRecord{Offset: w.off, Length: int64(len(blob))})
-	if w.Checksums || w.FooterSum {
-		idx.Sums = append(idx.Sums, crc32.Checksum(blob, castagnoli))
-	}
+	idx.Sums = append(idx.Sums, crc32.Checksum(blob, castagnoli))
 	w.off += int64(len(blob))
 	return nil
-}
-
-// backfillSums computes digests for frames written before Checksums was
-// enabled — an unchecksummed archive being upgraded on append — by
-// reading them back from the file. Frames of a fresh in-memory writer
-// cannot be read back, so there the flag must be set before writing.
-func (w *Writer) backfillSums() error {
-	for mi := range w.members {
-		m := &w.members[mi]
-		for li := range m.Levels {
-			idx := &m.Levels[li]
-			if len(idx.Sums) == len(idx.Batches) {
-				continue
-			}
-			if len(idx.Sums) != 0 {
-				return fmt.Errorf("archive: member %d level %d has %d checksums for %d batches (Checksums toggled mid-member)", mi, li, len(idx.Sums), len(idx.Batches))
-			}
-			if w.file == nil {
-				return fmt.Errorf("archive: member %d was written before Checksums was enabled (set it before the first frame, or append to a file)", mi)
-			}
-			sums := make([]uint32, len(idx.Batches))
-			for b, rec := range idx.Batches {
-				blob := make([]byte, rec.Length)
-				if _, err := w.file.ReadAt(blob, rec.Offset); err != nil {
-					return fmt.Errorf("archive: member %d level %d batch %d: reading frame for checksum backfill: %w", mi, li, b, err)
-				}
-				sums[b] = crc32.Checksum(blob, castagnoli)
-			}
-			idx.Sums = sums
-		}
-	}
-	return nil
-}
-
-// anySums reports whether any member already carries frame digests — an
-// archive that was ever committed at v3 keeps its digests on every later
-// commit, so the format never silently downgrades.
-func anySums(members []Member) bool {
-	for mi := range members {
-		for li := range members[mi].Levels {
-			if members[mi].Levels[li].Sums != nil {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Close seals the member and adds it to the archive index.
@@ -631,17 +560,10 @@ func (w *Writer) Generation() uint64 { return w.committed }
 // byte offset leaves the previous committed generation's footer intact
 // and the archive openable.
 //
-// Generation 0 (a fresh archive's first commit) writes the 16-byte v1
-// trailer, byte-identical to archives written before append existed;
-// later generations write the 24-byte generation-stamped trailer. An
-// archive holding any delta-coded member instead commits the v2 footer
-// under the TACAEND3 trailer (generation-stamped, legal at generation 0);
-// intra-only archives never do, keeping their bytes on the v1 format. A
-// writer with Checksums on — or appending to an archive that already
-// carries frame digests — commits the v3 footer under TACAEND4,
-// backfilling digests for any frames written before the flag was set.
-// FooterSum further seals the same footer bytes under the digest-bearing
-// TACAEND5 trailer (v4).
+// Every commit writes the v4 format: the v3 footer layout (delta links
+// and a CRC32C digest per frame) sealed by the 28-byte TACAEND5 trailer,
+// whose own digest covers the footer and the trailer's length and
+// generation words.
 func (w *Writer) Commit() error {
 	if w.closed {
 		return fmt.Errorf("archive: writer is closed")
@@ -649,23 +571,7 @@ func (w *Writer) Commit() error {
 	if w.cur != nil {
 		return fmt.Errorf("archive: member %q still open", w.cur.member.Name)
 	}
-	if w.FooterSum {
-		w.Checksums = true
-	}
-	ver := 1
-	if needV2(w.members) {
-		ver = 2
-	}
-	if w.Checksums || anySums(w.members) {
-		ver = 3
-		if err := w.backfillSums(); err != nil {
-			return err
-		}
-	}
-	if w.FooterSum {
-		ver = 4
-	}
-	footer, err := encodeFooter(w.members, ver)
+	footer, err := encodeFooter(w.members)
 	if err != nil {
 		return err
 	}
@@ -678,60 +584,15 @@ func (w *Writer) Commit() error {
 	if _, err := w.w.Write(footer); err != nil {
 		return fmt.Errorf("archive: writing footer: %w", err)
 	}
-	flen := uint64(len(footer))
-	var trailer []byte
-	switch {
-	case ver >= 4:
-		trailer = make([]byte, 0, trailer5Len)
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(flen>>(8*i)))
-		}
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(w.committed>>(8*i)))
-		}
-		// The digest seals the footer bytes plus the length and
-		// generation words above, so a flip anywhere in the index or in
-		// the words that locate it fails verification.
-		sum := crc32.Checksum(footer, castagnoli)
-		sum = crc32.Update(sum, castagnoli, trailer)
-		for i := 0; i < 4; i++ {
-			trailer = append(trailer, byte(sum>>(8*i)))
-		}
-		trailer = append(trailer, trailer5Magic[:]...)
-	case ver >= 3:
-		trailer = make([]byte, 0, trailer4Len)
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(flen>>(8*i)))
-		}
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(w.committed>>(8*i)))
-		}
-		trailer = append(trailer, trailer4Magic[:]...)
-	case ver == 2:
-		trailer = make([]byte, 0, trailer3Len)
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(flen>>(8*i)))
-		}
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(w.committed>>(8*i)))
-		}
-		trailer = append(trailer, trailer3Magic[:]...)
-	case w.committed == 0:
-		trailer = make([]byte, 0, trailerLen)
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(flen>>(8*i)))
-		}
-		trailer = append(trailer, trailerMagic[:]...)
-	default:
-		trailer = make([]byte, 0, trailer2Len)
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(flen>>(8*i)))
-		}
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(w.committed>>(8*i)))
-		}
-		trailer = append(trailer, trailer2Magic[:]...)
-	}
+	trailer := make([]byte, 0, trailer5Len)
+	trailer = binary.LittleEndian.AppendUint64(trailer, uint64(len(footer)))
+	trailer = binary.LittleEndian.AppendUint64(trailer, w.committed)
+	// The digest seals the footer bytes plus the length and generation
+	// words above, so a flip anywhere in the index or in the words that
+	// locate it fails verification.
+	sum := crc32.Update(crc32.Checksum(footer, castagnoli), castagnoli, trailer)
+	trailer = binary.LittleEndian.AppendUint32(trailer, sum)
+	trailer = append(trailer, trailer5Magic[:]...)
 	if _, err := w.w.Write(trailer); err != nil {
 		return fmt.Errorf("archive: writing trailer: %w", err)
 	}

@@ -141,7 +141,7 @@ func IngestBench(env *Env) (IngestBenchResult, error) {
 					return
 				default:
 				}
-				resp, err := client.Get(ts.URL + fmt.Sprintf("/a/live/snap/0/level/%d", li))
+				resp, err := client.Get(ts.URL + fmt.Sprintf("/v1/a/live/snap/0/level/%d", li))
 				if err != nil {
 					fail(err)
 					return
@@ -160,7 +160,7 @@ func IngestBench(env *Env) (IngestBenchResult, error) {
 
 	start := time.Now()
 	for i, body := range payloads {
-		resp, err := client.Post(ts.URL+"/a/live/ingest", "application/octet-stream", bytes.NewReader(body))
+		resp, err := client.Post(ts.URL+"/v1/a/live/ingest", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			close(stop)
 			wg.Wait()

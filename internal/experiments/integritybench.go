@@ -21,18 +21,21 @@ import (
 type IntegrityBenchResult struct {
 	Members      int   `json:"members"`
 	Frames       int   `json:"frames"`
-	PlainBytes   int64 `json:"plain_bytes"`
-	SummedBytes  int64 `json:"summed_bytes"`
-	FooterGrowth int64 `json:"footer_growth_bytes"`
+	ArchiveBytes int64 `json:"archive_bytes"`
+	// What the written archive carries: a digest per frame, and a digest
+	// of the footer in the trailer.
+	Checksummed       bool `json:"checksummed"`
+	FooterChecksummed bool `json:"footer_checksummed"`
 
-	// Full-archive extraction throughput, plain vs digest-verified —
-	// interleaved warm passes, best of five per side; the overhead ratio
-	// is what CI bounds.
-	PlainReadSeconds  float64 `json:"plain_read_seconds"`
-	PlainReadMBps     float64 `json:"plain_read_mb_per_s"`
-	SummedReadSeconds float64 `json:"summed_read_seconds"`
-	SummedReadMBps    float64 `json:"summed_read_mb_per_s"`
-	VerifyOverhead    float64 `json:"verify_overhead"` // median paired summed/plain ratio, 1.0 = free
+	// Full-archive extraction (every frame verified against its digest)
+	// vs the same extraction followed by a scrub, which reads and CRCs
+	// every frame once more — interleaved warm passes, best per side. The
+	// median paired ratio bounds verification's share of a read from
+	// above; CI bounds it.
+	ReadSeconds      float64 `json:"read_seconds"`
+	ReadMBps         float64 `json:"read_mb_per_s"`
+	ReadScrubSeconds float64 `json:"read_scrub_seconds"`
+	VerifyOverhead   float64 `json:"verify_overhead"` // median paired (extract+scrub)/extract ratio, 1.0 = free
 
 	// Scrub sweep over every frame (digest fast path: no decode).
 	ScrubSeconds float64 `json:"scrub_seconds"`
@@ -80,25 +83,23 @@ func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
 	return copy(m.b[off:], p), nil
 }
 
-// pairedOverhead measures how much slower full extraction through rb is
-// than through ra. Interleaved passes: each runs ra then rb back to back,
-// so both sides of a pair see the same scheduler, GC, and cache
-// conditions, and the per-pass ratio cancels shared noise instead of
-// reporting it as phantom cost. The overhead is the median paired ratio;
+// pairedOverhead measures how much slower pass b is than pass a.
+// Interleaved passes: each runs a then b back to back, so both sides of a
+// pair see the same scheduler, GC, and cache conditions, and the
+// per-pass ratio cancels shared noise instead of reporting it as phantom
+// cost. The overhead is the median paired ratio;
 // on a busy runner one whole round can come back skewed, so it takes the
 // lowest median across up to three rounds — it answers "is the cheap
 // path achievable", the property a CI gate protects, while a real
 // regression is slow in every round and still fails. A clearly clean
 // round exits early. Also returns each side's best per-pass seconds.
-func pairedOverhead(ra, rb *archive.Reader) (overhead, aBest, bBest float64, err error) {
-	const reps = 3 // extractions per timed pass, to outlast timer noise
-	extractAll := func(r *archive.Reader) (float64, error) {
+func pairedOverhead(a, b func() error) (overhead, aBest, bBest float64, err error) {
+	const reps = 3 // runs per timed pass, to outlast timer noise
+	timed := func(pass func() error) (float64, error) {
 		start := time.Now()
 		for rep := 0; rep < reps; rep++ {
-			for mi := range r.Members() {
-				if _, err := r.Extract(mi); err != nil {
-					return 0, err
-				}
+			if err := pass(); err != nil {
+				return 0, err
 			}
 		}
 		return time.Since(start).Seconds() / reps, nil
@@ -106,11 +107,11 @@ func pairedOverhead(ra, rb *archive.Reader) (overhead, aBest, bBest float64, err
 	measure := func() (float64, error) {
 		var ratios []float64
 		for pass := 0; pass < 6; pass++ {
-			adt, err := extractAll(ra)
+			adt, err := timed(a)
 			if err != nil {
 				return 0, err
 			}
-			bdt, err := extractAll(rb)
+			bdt, err := timed(b)
 			if err != nil {
 				return 0, err
 			}
@@ -143,72 +144,71 @@ func pairedOverhead(ra, rb *archive.Reader) (overhead, aBest, bBest float64, err
 	return overhead, aBest, bBest, nil
 }
 
-// IntegrityBench builds the Run1 campaign archive twice — plain and with
-// per-frame digests — and measures what verification costs and catches.
+// extractAll reconstructs every member of r.
+func extractAll(r *archive.Reader) error {
+	for mi := range r.Members() {
+		if _, err := r.Extract(mi); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// IntegrityBench builds the Run1 campaign archive and measures what
+// verification costs and catches.
 func IntegrityBench(env *Env) (IntegrityBenchResult, error) {
 	var res IntegrityBenchResult
 	names := []string{"Run1_Z10", "Run1_Z5", "Run1_Z2"}
 	cfg := codec.Config{ErrorBound: 1e9, Workers: -1}
 
-	build := func(sums bool) ([]byte, int64, error) {
-		var buf bytes.Buffer
-		w, err := archive.NewWriter(&buf)
+	var buf bytes.Buffer
+	w, err := archive.NewWriter(&buf)
+	if err != nil {
+		return res, err
+	}
+	var orig int64
+	for _, name := range names {
+		ds, err := env.Dataset(name, sim.BaryonDensity)
 		if err != nil {
-			return nil, 0, err
+			return res, err
 		}
-		w.Checksums = sums
-		var orig int64
-		for _, name := range names {
-			ds, err := env.Dataset(name, sim.BaryonDensity)
-			if err != nil {
-				return nil, 0, err
-			}
-			orig += int64(ds.OriginalBytes())
-			if err := w.AddDataset(ds, cfg); err != nil {
-				return nil, 0, err
-			}
+		orig += int64(ds.OriginalBytes())
+		if err := w.AddDataset(ds, cfg); err != nil {
+			return res, err
 		}
-		if err := w.Close(); err != nil {
-			return nil, 0, err
-		}
-		return buf.Bytes(), orig, nil
 	}
-	plain, orig, err := build(false)
-	if err != nil {
+	if err := w.Close(); err != nil {
 		return res, err
 	}
-	summed, _, err := build(true)
-	if err != nil {
-		return res, err
-	}
-	res.PlainBytes = int64(len(plain))
-	res.SummedBytes = int64(len(summed))
-	res.FooterGrowth = res.SummedBytes - res.PlainBytes
+	blob := buf.Bytes()
+	res.ArchiveBytes = int64(len(blob))
 	res.Members = len(names)
 
-	// Timed extraction, interleaved plain/summed passes: each pass runs
-	// the plain reader then the summed reader back to back, so both sides
-	// of a pair see the same scheduler, GC, and cache conditions. The
-	// overhead is the median of the per-pass paired ratios — a slow
-	// outlier pass drags both sides of its pair equally and cancels in
-	// the ratio, instead of showing up as phantom CRC cost the way two
-	// separately-timed blocks would report it.
-	pr, err := archive.Open(bytes.NewReader(plain), int64(len(plain)))
+	r, err := archive.Open(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		return res, err
 	}
-	sr2, err := archive.Open(bytes.NewReader(summed), int64(len(summed)))
+	res.Checksummed, res.FooterChecksummed = r.Checksummed(), r.FooterChecksummed()
+	// Timed extraction, interleaved with extraction plus scrub: both
+	// sides of a pair see the same scheduler, GC, and cache conditions,
+	// so a slow outlier pass cancels in the median paired ratio instead
+	// of showing up as phantom CRC cost.
+	res.VerifyOverhead, res.ReadSeconds, res.ReadScrubSeconds, err = pairedOverhead(
+		func() error { return extractAll(r) },
+		func() error {
+			if err := extractAll(r); err != nil {
+				return err
+			}
+			if issues := r.Scrub(); len(issues) != 0 {
+				return issues[0].Err
+			}
+			return nil
+		})
 	if err != nil {
 		return res, err
 	}
-	res.VerifyOverhead, res.PlainReadSeconds, res.SummedReadSeconds, err = pairedOverhead(pr, sr2)
-	if err != nil {
-		return res, err
-	}
-	res.PlainReadMBps = float64(orig) / 1e6 / res.PlainReadSeconds
-	res.SummedReadMBps = float64(orig) / 1e6 / res.SummedReadSeconds
+	res.ReadMBps = float64(orig) / 1e6 / res.ReadSeconds
 
-	r := sr2
 	for _, m := range r.Members() {
 		for li := range m.Levels {
 			res.Frames += len(m.Levels[li].Batches)
@@ -219,11 +219,11 @@ func IntegrityBench(env *Env) (IntegrityBenchResult, error) {
 		return res, errors.New("integrity: clean archive scrubs dirty")
 	}
 	res.ScrubSeconds = time.Since(start).Seconds()
-	res.ScrubMBps = float64(len(summed)) / 1e6 / res.ScrubSeconds
+	res.ScrubMBps = float64(len(blob)) / 1e6 / res.ScrubSeconds
 
 	// Flip-detection sweep: one bit in the middle of every frame, each
 	// damaged archive scrubbed independently. Every flip must be found.
-	damaged := append([]byte(nil), summed...)
+	damaged := append([]byte(nil), blob...)
 	for mi := range r.Members() {
 		m := &r.Members()[mi]
 		for li := range m.Levels {
@@ -248,7 +248,7 @@ func IntegrityBench(env *Env) (IntegrityBenchResult, error) {
 	// Repair throughput: damage every frame of a copy, then splice them
 	// all back from the clean bytes — the all-frames case bounds what any
 	// real (usually single-member) repair costs.
-	dmg := &memFile{b: append([]byte(nil), summed...)}
+	dmg := &memFile{b: append([]byte(nil), blob...)}
 	for mi := range r.Members() {
 		m := &r.Members()[mi]
 		for li := range m.Levels {
@@ -262,7 +262,7 @@ func IntegrityBench(env *Env) (IntegrityBenchResult, error) {
 	if err != nil {
 		return res, err
 	}
-	src := bytes.NewReader(summed)
+	src := bytes.NewReader(blob)
 	var respliced int64
 	start = time.Now()
 	for mi := range dr.Members() {
@@ -278,7 +278,7 @@ func IntegrityBench(env *Env) (IntegrityBenchResult, error) {
 
 	// The healed copy must be byte-identical to the original and extract
 	// identically through a fresh reader.
-	res.RepairedReadsMatch = bytes.Equal(dmg.b, summed)
+	res.RepairedReadsMatch = bytes.Equal(dmg.b, blob)
 	if res.RepairedReadsMatch {
 		hr, err := archive.Open(bytes.NewReader(dmg.b), int64(len(dmg.b)))
 		if err != nil {
@@ -304,16 +304,18 @@ func IntegrityBench(env *Env) (IntegrityBenchResult, error) {
 	// replica.Multi (both sources healthy, so every read is served by the
 	// primary after one health-gate check) vs the bare reader.
 	multi, err := replica.New(replica.Config{},
-		replica.Reader(bytes.NewReader(summed), "primary"),
-		replica.Reader(bytes.NewReader(summed), "replica"))
+		replica.Reader(bytes.NewReader(blob), "primary"),
+		replica.Reader(bytes.NewReader(blob), "replica"))
 	if err != nil {
 		return res, err
 	}
-	mr, err := archive.Open(multi, int64(len(summed)))
+	mr, err := archive.Open(multi, int64(len(blob)))
 	if err != nil {
 		return res, err
 	}
-	res.FailoverOverhead, _, _, err = pairedOverhead(sr2, mr)
+	res.FailoverOverhead, _, _, err = pairedOverhead(
+		func() error { return extractAll(r) },
+		func() error { return extractAll(mr) })
 	if err != nil {
 		return res, err
 	}

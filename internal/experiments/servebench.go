@@ -83,12 +83,12 @@ func ServeBench(env *Env) (ServeBenchResult, error) {
 	for mi := range r.Members() {
 		m := &r.Members()[mi]
 		for li := range m.Levels {
-			paths = append(paths, fmt.Sprintf("/a/bench/snap/%d/level/%d", mi, li))
+			paths = append(paths, fmt.Sprintf("/v1/a/bench/snap/%d/level/%d", mi, li))
 		}
 		fd := m.Levels[0].Dims
 		paths = append(paths,
-			fmt.Sprintf("/a/bench/snap/%d/level/0?roi=0:%d,0:%d,0:%d", mi, fd.X/2, fd.Y/2, fd.Z/2),
-			fmt.Sprintf("/a/bench/snap/%d/level/0?roi=%d:%d,%d:%d,%d:%d", mi,
+			fmt.Sprintf("/v1/a/bench/snap/%d/level/0?roi=0:%d,0:%d,0:%d", mi, fd.X/2, fd.Y/2, fd.Z/2),
+			fmt.Sprintf("/v1/a/bench/snap/%d/level/0?roi=%d:%d,%d:%d,%d:%d", mi,
 				fd.X/4, 3*fd.X/4, fd.Y/4, 3*fd.Y/4, fd.Z/4, 3*fd.Z/4))
 	}
 	const rounds, concurrency = 6, 4

@@ -20,9 +20,7 @@ import (
 	"repro/internal/grid"
 )
 
-// Handler returns the HTTP API. Every route is mounted twice: under
-// /v1/ (the versioned surface) and at its legacy unprefixed path (kept
-// as an alias for one release):
+// Handler returns the HTTP API, every route under /v1/:
 //
 //	GET  /v1/healthz                                liveness probe ("ok", or 503 "draining")
 //	GET  /v1/stats                                  cache + ingest + registry counters (JSON)
@@ -44,21 +42,15 @@ import (
 // gzip-compressed with Content-Encoding: gzip; a full ingest queue
 // answers 429 with a Retry-After hint.
 //
-// Non-2xx responses (except /healthz, which stays plain text for
+// Non-2xx responses (except /v1/healthz, which stays plain text for
 // probes) carry the JSON error envelope {code, message, member?,
 // quarantined?}: code is a stable slug (not_found, bad_request,
 // read_only, busy, draining, no_replica, timeout, quarantined, corrupt,
 // io, too_large, internal), member is the snapshot index the failure
-// concerns when known, and the legacy error/retryable fields mirror
-// message for pre-v1 clients.
+// concerns when known.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-	}
-	handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if s.Draining() {
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -74,15 +66,15 @@ func (s *Server) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	handle("GET /stats", s.handleStats)
-	handle("GET /archives", s.handleArchives)
-	handle("GET /a/{name}", s.handleArchive)
-	handle("GET /a/{name}/raw", s.handleRaw)
-	handle("GET /a/{name}/snap/{snap}", s.handleSnap)
-	handle("GET /a/{name}/snap/{snap}/amr", s.handleSnapAMR)
-	handle("GET /a/{name}/snap/{snap}/level/{level}", s.handleLevel)
-	handle("POST /a/{name}/ingest", s.handleIngest)
-	handle("POST /a/{name}/repair", s.handleRepair)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /v1/archives", s.handleArchives)
+	mux.HandleFunc("GET /v1/a/{name}", s.handleArchive)
+	mux.HandleFunc("GET /v1/a/{name}/raw", s.handleRaw)
+	mux.HandleFunc("GET /v1/a/{name}/snap/{snap}", s.handleSnap)
+	mux.HandleFunc("GET /v1/a/{name}/snap/{snap}/amr", s.handleSnapAMR)
+	mux.HandleFunc("GET /v1/a/{name}/snap/{snap}/level/{level}", s.handleLevel)
+	mux.HandleFunc("POST /v1/a/{name}/ingest", s.handleIngest)
+	mux.HandleFunc("POST /v1/a/{name}/repair", s.handleRepair)
 	return mux
 }
 
@@ -104,15 +96,12 @@ func (s *Server) handleRaw(w http.ResponseWriter, r *http.Request) {
 	http.ServeContent(w, r, sa.name+".taca", time.Time{}, st.r.Section())
 }
 
-// errorBody is the JSON error envelope. Error and Retryable predate the
-// v1 surface and mirror Message; new clients should key on Code.
+// errorBody is the JSON error envelope.
 type errorBody struct {
 	Code        string `json:"code"`
 	Message     string `json:"message"`
 	Member      *int   `json:"member,omitempty"`
 	Quarantined bool   `json:"quarantined,omitempty"`
-	Error       string `json:"error"`
-	Retryable   bool   `json:"retryable"`
 }
 
 // memberError tags an error with the member index it concerns so the
@@ -164,26 +153,22 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 		code = http.StatusTooManyRequests
 		env.Code = "busy"
-		env.Retryable = true
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
 		code = http.StatusServiceUnavailable
 		env.Code = "draining"
-		env.Retryable = true
 	case errors.Is(err, ErrNoReplica):
 		code = http.StatusConflict
 		env.Code = "no_replica"
 	case errors.Is(err, context.DeadlineExceeded):
 		code = http.StatusGatewayTimeout
 		env.Code = "timeout"
-		env.Retryable = true
 	case errors.Is(err, archive.ErrIO):
 		// Transient storage fault that survived the retry budget. The
 		// underlying error is an OS or network message (paths, URLs,
 		// offsets) — log it, don't leak it.
 		env.Code = "io"
 		env.Message = "transient storage read failure (retries exhausted); try again"
-		env.Retryable = true
 		s.cfg.Logf("server: io error: %v", err)
 	case errors.Is(err, archive.ErrCorrupt):
 		// Deterministic damage: the message is archive-constructed
@@ -193,13 +178,11 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 		env.Message = "internal server error"
 		s.cfg.Logf("server: internal error: %v", err)
 	}
-	env.Error = env.Message
 	s.writeError(w, code, env)
 }
 
 // writeError emits the envelope with the given status.
 func (s *Server) writeError(w http.ResponseWriter, code int, env errorBody) {
-	env.Error = env.Message
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -266,7 +249,7 @@ func (s *Server) handleArchives(w http.ResponseWriter, r *http.Request) {
 	}{out})
 }
 
-// memberInfo is the /a/{name} listing row.
+// memberInfo is the /v1/a/{name} listing row.
 type memberInfo struct {
 	Index           int     `json:"index"`
 	Name            string  `json:"name"`
@@ -300,7 +283,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	}{sa.name, out})
 }
 
-// levelInfo is the /a/{name}/snap/{i} geometry row.
+// levelInfo is the /v1/a/{name}/snap/{i} geometry row.
 type levelInfo struct {
 	Level           int    `json:"level"`
 	Dims            [3]int `json:"dims"`

@@ -19,7 +19,7 @@ import (
 // keeps serving.
 var ErrQuarantined = errors.New("member quarantined")
 
-// healthCounters are the server-wide fault-tolerance counters /stats
+// healthCounters are the server-wide fault-tolerance counters /v1/stats
 // exposes.
 type healthCounters struct {
 	retries          atomic.Int64 // frame reads retried after transient I/O errors
@@ -33,7 +33,7 @@ type healthCounters struct {
 	unquarantines    atomic.Int64 // members returned to service by a repair
 }
 
-// HealthStats is the /stats health section.
+// HealthStats is the /v1/stats health section.
 type HealthStats struct {
 	// Retries counts frame reads retried by the serving tier; remote
 	// fetch faults are retried first inside the remote reader and counted
@@ -259,7 +259,7 @@ func (s *Server) HealthStats() HealthStats {
 }
 
 // Degraded reports whether any registered member is quarantined: the
-// server still answers everything it can, but /healthz says "degraded"
+// server still answers everything it can, but /v1/healthz says "degraded"
 // so operators notice the archive needs repair.
 func (s *Server) Degraded() bool {
 	s.mu.RLock()

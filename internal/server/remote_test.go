@@ -276,51 +276,40 @@ func TestV1RoutesAndEnvelope(t *testing.T) {
 	defer s.Close()
 	h := s.Handler()
 
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		rec := get(t, h, path)
-		if rec.Code != 200 || rec.Body.String() != "ok\n" {
-			t.Fatalf("%s = %d %q", path, rec.Code, rec.Body.String())
-		}
+	if rec := get(t, h, "/v1/healthz"); rec.Code != 200 || rec.Body.String() != "ok\n" {
+		t.Fatalf("/v1/healthz = %d %q", rec.Code, rec.Body.String())
 	}
-	for _, path := range []string{
-		"/stats", "/v1/stats",
-		"/archives", "/v1/archives",
-		"/a/test", "/v1/a/test",
-		"/a/test/snap/0", "/v1/a/test/snap/0",
-	} {
+	for _, path := range []string{"/v1/stats", "/v1/archives", "/v1/a/test", "/v1/a/test/snap/0", "/v1/a/test/snap/0/amr"} {
 		if rec := get(t, h, path); rec.Code != 200 {
 			t.Fatalf("%s = %d", path, rec.Code)
 		}
 	}
-	// Binary surfaces must be byte-identical across route sets.
-	legacy := get(t, h, "/a/test/snap/0/amr")
-	v1 := get(t, h, "/v1/a/test/snap/0/amr")
-	if legacy.Code != 200 || v1.Code != 200 || !bytes.Equal(legacy.Body.Bytes(), v1.Body.Bytes()) {
-		t.Fatalf("amr differs across route sets: %d vs %d", legacy.Code, v1.Code)
-	}
-
-	// Error envelope, both route sets.
-	for _, path := range []string{"/a/nope", "/v1/a/nope"} {
-		rec := get(t, h, path)
-		if rec.Code != 404 {
+	// The unprefixed routes are gone.
+	for _, path := range []string{"/healthz", "/stats", "/a/test/snap/0/amr"} {
+		if rec := get(t, h, path); rec.Code != 404 {
 			t.Fatalf("%s = %d, want 404", path, rec.Code)
 		}
-		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("%s content-type %q", path, ct)
-		}
-		var env struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-			Error   string `json:"error"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-			t.Fatalf("%s body %q: %v", path, rec.Body.String(), err)
-		}
-		if env.Code != "not_found" || env.Message == "" || env.Error != env.Message {
-			t.Fatalf("%s envelope %+v", path, env)
-		}
 	}
-	rec := get(t, h, "/v1/a/test/snap/99")
+
+	// Error envelope.
+	rec := get(t, h, "/v1/a/nope")
+	if rec.Code != 404 {
+		t.Fatalf("/v1/a/nope = %d, want 404", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("/v1/a/nope content-type %q", ct)
+	}
+	var nf struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &nf); err != nil {
+		t.Fatalf("/v1/a/nope body %q: %v", rec.Body.String(), err)
+	}
+	if nf.Code != "not_found" || nf.Message == "" {
+		t.Fatalf("/v1/a/nope envelope %+v", nf)
+	}
+	rec = get(t, h, "/v1/a/test/snap/99")
 	var env errorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != 404 || env.Code != "not_found" {
 		t.Fatalf("bad-snapshot envelope: %d %q (%v)", rec.Code, rec.Body.String(), err)
@@ -343,7 +332,7 @@ func TestRawEndpointRangeSemantics(t *testing.T) {
 	if etag == "" || strings.HasPrefix(etag, "W/") {
 		t.Fatalf("raw ETag %q is not strong", etag)
 	}
-	part := get(t, h, "/a/test/raw", "Range", "bytes=8-23")
+	part := get(t, h, "/v1/a/test/raw", "Range", "bytes=8-23")
 	if part.Code != http.StatusPartialContent || !bytes.Equal(part.Body.Bytes(), blob[8:24]) {
 		t.Fatalf("raw range read: %d, %q", part.Code, part.Body.Bytes())
 	}

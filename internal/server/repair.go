@@ -73,7 +73,7 @@ func (s *Server) repairMember(sa *servedArchive, st *archiveState, mi int) (arch
 // tryAutoRepair is the health machine's hook: fired synchronously the
 // moment a member is quarantined, when the archive has replicas. A
 // failed attempt (fetch errors, replicas damaged at the same frames)
-// leaves the quarantine standing — operators see it in /stats.health as
+// leaves the quarantine standing — operators see it in /v1/stats.health as
 // attempts without matching successes.
 func (s *Server) tryAutoRepair(sa *servedArchive, mi int) {
 	if sa.replicas == nil {
@@ -82,7 +82,7 @@ func (s *Server) tryAutoRepair(sa *servedArchive, mi int) {
 	_, _, _ = s.repairMember(sa, sa.view(), mi)
 }
 
-// handleRepair is POST /a/{name}/repair: with ?member=i it repairs that
+// handleRepair is POST /v1/a/{name}/repair: with ?member=i it repairs that
 // member; without, it repairs every currently quarantined member (via
 // the damaged roots of their reference chains). The response reports the
 // splice stats and which members returned to service; a repair that

@@ -256,7 +256,7 @@ func New(cfg Config) *Server {
 // Cache exposes the block cache (stats endpoints, benchmarks, tests).
 func (s *Server) Cache() *Cache { return s.cache }
 
-// SetDraining flips the drain flag: while set, /healthz answers 503 and
+// SetDraining flips the drain flag: while set, /v1/healthz answers 503 and
 // new ingests are refused, while read traffic keeps being served. tacd
 // sets it on SIGTERM before http.Server.Shutdown so load balancers stop
 // routing here during the drain window.
@@ -268,12 +268,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // ArchiveSpec describes one archive to register: where its bytes live
 // (a local path or an http(s):// URL), which replica copies back it, and
 // whether it accepts live ingest. Server.Add is the single registration
-// entry point; AddFile / AddFileReplicas / AddAppendFile are deprecated
-// wrappers over it.
+// entry point.
 type ArchiveSpec struct {
 	// Primary is the archive's byte source: a local file path, or an
 	// http(s):// URL of any range-capable server (another tacd's
-	// /a/{name}/raw endpoint, nginx, an S3-style store).
+	// /v1/a/{name}/raw endpoint, nginx, an S3-style store).
 	Primary string
 	// Replicas are additional byte-identical copies (paths or URLs):
 	// reads fail over to them when the primary errors, and they are the
@@ -290,11 +289,6 @@ type ArchiveSpec struct {
 	// Keyframe, when ≥ 2, delta-codes ingested members with this
 	// keyframe interval; 0 falls back to Config.IngestKeyframe.
 	Keyframe int
-	// Checksums and FooterSum set the integrity policy for ingested
-	// frames (archive.Writer.Checksums / FooterSum). Appending to an
-	// archive that already carries digests keeps them regardless.
-	Checksums bool
-	FooterSum bool
 	// Remote tunes URL sources. A zero SegmentBytes is auto-sized to the
 	// archive's typical frame span once the footer is parsed.
 	Remote remote.Config
@@ -447,7 +441,7 @@ func tuneRemote(r *archive.Reader, src replica.Source, rcfg remote.Config) {
 // deriveName is the serving name derived from a primary source: the
 // base name minus extension for paths; for URLs, the last path element
 // (with a trailing /raw resolving to its parent, so mounting another
-// tacd's /a/{name}/raw endpoint inherits that name).
+// tacd's /v1/a/{name}/raw endpoint inherits that name).
 func deriveName(primary string) string {
 	if remote.IsURL(primary) {
 		p := primary
@@ -469,20 +463,15 @@ func deriveName(primary string) string {
 // deriveName). cmd/tacd uses it to bind -replica flags by name before
 // anything is opened.
 func SpecName(spec string) string {
-	name, _ := splitSpec(spec)
+	name, _ := SplitSpec(spec)
 	return name
 }
 
 // SplitSpec splits a CLI archive spec into its serving name and primary
-// source (path or URL), per the SpecName rules.
+// source (path or URL), per the SpecName rules. The name=primary form
+// only applies when the part before '=' looks like a name (no '/' or
+// ':'), so bare URLs with query strings are not mis-split.
 func SplitSpec(spec string) (name, primary string) {
-	return splitSpec(spec)
-}
-
-// splitSpec splits a CLI spec into (name, primary). The name=primary
-// form only applies when the part before '=' looks like a name (no '/'
-// or ':'), so bare URLs with query strings are not mis-split.
-func splitSpec(spec string) (name, primary string) {
 	if n, p, ok := strings.Cut(spec, "="); ok && !strings.ContainsAny(n, "/:") {
 		return n, p
 	}
@@ -519,26 +508,6 @@ func (s *Server) addArchive(sa *servedArchive, r *archive.Reader) error {
 		go ing.run()
 	}
 	return nil
-}
-
-// AddFile opens a .taca file (or URL) and registers it under its
-// derived name (override by passing spec as "name=path").
-//
-// Deprecated: use Add with an ArchiveSpec.
-func (s *Server) AddFile(spec string) (string, error) {
-	name, primary := splitSpec(spec)
-	return s.Add(name, ArchiveSpec{Primary: primary})
-}
-
-// AddFileReplicas is AddFile with replica copies attached: reads fail
-// over to them when the primary errors, and a quarantined member is
-// automatically re-fetched, digest-verified, and spliced back into the
-// primary.
-//
-// Deprecated: use Add with an ArchiveSpec.
-func (s *Server) AddFileReplicas(spec string, replicaPaths []string) (string, error) {
-	name, primary := splitSpec(spec)
-	return s.Add(name, ArchiveSpec{Primary: primary, Replicas: replicaPaths})
 }
 
 // Close drains every ingester (queued snapshots finish compressing and
